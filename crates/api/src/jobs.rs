@@ -300,6 +300,8 @@ pub struct JobRunner {
     tx: Sender<(u64, Task)>,
     queue_depth: Gauge,
     per_key_cap: u32,
+    /// This runner's `runner` label value.
+    scope_id: String,
 }
 
 impl std::fmt::Debug for JobRunner {
@@ -370,7 +372,13 @@ impl JobRunner {
             tx,
             queue_depth,
             per_key_cap: DEFAULT_PER_KEY_IN_FLIGHT,
+            scope_id: runner_id,
         }
+    }
+
+    /// The `runner` label value this runner's obs series carry.
+    pub fn scope_id(&self) -> &str {
+        &self.scope_id
     }
 
     /// Sets the per-key in-flight cap enforced by

@@ -57,6 +57,18 @@ fn error_response(err: &CoreError) -> Response {
     )
 }
 
+/// A `200` Prometheus exposition of the process-wide registry, limited
+/// to unscoped series and the `owned` `(label, scope id)` pairs.
+pub fn prometheus_response(owned: &[(&str, String)]) -> Response {
+    let registry = caladrius_obs::global_registry();
+    Response {
+        status: 200,
+        content_type: caladrius_obs::PROMETHEUS_CONTENT_TYPE.into(),
+        body: caladrius_obs::render_prometheus_owned(registry, owned).into_bytes(),
+        headers: Vec::new(),
+    }
+}
+
 fn forecast_to_json(f: &TrafficForecast) -> Value {
     Value::object([
         ("model", Value::from(f.model.clone())),
@@ -707,7 +719,7 @@ impl ApiService {
                 "/model/packing/heron/{topology}",
                 self.packing(topology, request),
             ),
-            ("GET", ["metrics", "service"]) => ("/metrics/service", Self::service_metrics()),
+            ("GET", ["metrics", "service"]) => ("/metrics/service", self.service_metrics()),
             ("GET", ["metrics", "heron", topology]) => {
                 ("/metrics/heron/{topology}", self.metrics(topology, request))
             }
@@ -737,17 +749,16 @@ impl ApiService {
         }
     }
 
-    /// `GET /metrics/service` — every registered metric in Prometheus
-    /// text exposition format. SLO burn-rate gauges are re-evaluated
+    /// `GET /metrics/service` — this instance's metrics in Prometheus
+    /// text exposition format: every unscoped series plus the series of
+    /// its own service, job runner and metrics stores, never another
+    /// in-process instance's. SLO burn-rate gauges are re-evaluated
     /// first so the scrape never reports stale burn rates.
-    fn service_metrics() -> Response {
+    fn service_metrics(&self) -> Response {
         caladrius_obs::evaluate_slos();
-        Response {
-            status: 200,
-            content_type: caladrius_obs::PROMETHEUS_CONTENT_TYPE.into(),
-            body: caladrius_obs::render_prometheus(caladrius_obs::global_registry()).into_bytes(),
-            headers: Vec::new(),
-        }
+        let mut owned = self.caladrius.obs_scopes();
+        owned.push(("runner", self.jobs.scope_id().to_string()));
+        prometheus_response(&owned)
     }
 
     /// Liveness plus data-plane observability. A thin view over the obs

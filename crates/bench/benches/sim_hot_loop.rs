@@ -17,15 +17,15 @@
 //! * `seed` — fresh simulation + fresh store per window (the pre-rewrite
 //!   `planner::replay` pattern, and the only mode the seed kernel has);
 //! * `soa` — one pooled simulation + one store, truncated between
-//!   windows (`planner::replay`'s pattern after the rewrite), with
-//!   macro-stepping off: every tick executes exactly and every emitted
+//!   windows (`planner::replay`'s pattern after the rewrite), on the
+//!   default config: every tick executes exactly and every emitted
 //!   sample is bit-identical to the seed kernel's (enforced by
-//!   `tests/sim_kernel_equivalence.rs`);
-//! * `soa+macro` — the same with `SimConfig::macro_step` on, reported as
-//!   simulated (executed + skipped) ticks per second.
+//!   `tests/sim_kernel_equivalence.rs`).
 //!
-//! Acceptance floor for the rewrite: the exact (macro off) SoA kernel
-//! sustains at least 2x the seed kernel's ticks/sec.
+//! Acceptance floor for the rewrite: the exact SoA kernel sustains at
+//! least 2x the seed kernel's ticks/sec. A second table runs a diurnal
+//! load on a wide deployment, exact vs event-driven (`soa+event`), and
+//! requires the event scheduler to cover it at least 10x faster.
 
 use caladrius_bench::{columns, fast_mode, header, repeats, row};
 use caladrius_workload::diamond::{diamond_topology, DiamondParallelism};
@@ -64,7 +64,7 @@ fn best_secs(n: usize, mut f: impl FnMut()) -> f64 {
 struct Measurement {
     /// Wall-clock ticks/sec actually executed.
     executed_per_sec: f64,
-    /// Simulated ticks/sec covered (executed + macro-skipped).
+    /// Simulated ticks/sec covered (executed + advanced in closed form).
     simulated_per_sec: f64,
 }
 
@@ -100,17 +100,12 @@ fn measure_soa(
     rates: &[f64],
     minutes: u64,
     reps: usize,
-    macro_step: bool,
 ) -> Measurement {
-    let config = SimConfig {
-        macro_step,
-        ..SimConfig::default()
-    };
     let mut executed = 0u64;
     let secs = best_secs(reps, || {
         let topology = build(rates[0]);
         let metrics = SimMetrics::new(topology.name.clone());
-        let mut sim = Simulation::new(topology, config.clone()).unwrap();
+        let mut sim = Simulation::new(topology, SimConfig::default()).unwrap();
         let before = sim.ticks_executed();
         for &rate in rates {
             metrics.db().truncate_before(i64::MAX).unwrap();
@@ -198,7 +193,7 @@ fn main() {
                 1.0,
             ],
         );
-        let soa = measure_soa(build.as_ref(), &rates, minutes, reps, false);
+        let soa = measure_soa(build.as_ref(), &rates, minutes, reps);
         let speedup = soa.executed_per_sec / seed.executed_per_sec;
         min_speedup = min_speedup.min(speedup);
         row(
@@ -209,29 +204,19 @@ fn main() {
                 speedup,
             ],
         );
-        let fast = measure_soa(build.as_ref(), &rates, minutes, reps, true);
-        row(
-            "soa+macro",
-            &[
-                fast.executed_per_sec / 1e3,
-                fast.simulated_per_sec / 1e3,
-                fast.simulated_per_sec / seed.simulated_per_sec,
-            ],
-        );
         println!();
     }
 
-    println!("  worst-case SoA speedup vs seed kernel (macro off): {min_speedup:.2}x");
+    println!("  worst-case SoA speedup vs seed kernel (exact): {min_speedup:.2}x");
     assert!(
         min_speedup >= 2.0,
         "SoA kernel must sustain at least 2x the seed kernel (got {min_speedup:.2}x)"
     );
 
-    // Diurnal workload on a wide deployment: the rate never settles, so
-    // steady-state macro-stepping cannot engage (~1x) — only the event
-    // scheduler's closed-form advancement between breakpoint events
-    // pays off, and it pays most where exact ticks are expensive (tick
-    // cost grows with routing pairs, closed form with instances).
+    // Diurnal workload on a wide deployment: the rate never settles, yet
+    // the event scheduler's closed-form advancement between breakpoint
+    // events pays off, and it pays most where exact ticks are expensive
+    // (tick cost grows with routing pairs, closed form with instances).
     let wide = WordCountParallelism {
         spout: 256,
         splitter: 64,
@@ -255,10 +240,6 @@ fn main() {
     println!("[wordcount x32, diurnal spout]");
     columns("kernel", &["exec kticks/s", "sim kticks/s", "vs exact"]);
     let exact_cfg = SimConfig::default();
-    let macro_cfg = SimConfig {
-        macro_step: true,
-        ..SimConfig::default()
-    };
     let event_cfg = SimConfig {
         event_mode: true,
         ..SimConfig::default()
@@ -270,15 +251,6 @@ fn main() {
             exact.executed_per_sec / 1e3,
             exact.simulated_per_sec / 1e3,
             1.0,
-        ],
-    );
-    let stepped = measure_diurnal(&base, &profiles, minutes, reps, &macro_cfg);
-    row(
-        "soa+macro",
-        &[
-            stepped.executed_per_sec / 1e3,
-            stepped.simulated_per_sec / 1e3,
-            stepped.simulated_per_sec / exact.simulated_per_sec,
         ],
     );
     let event = measure_diurnal(&base, &profiles, minutes, reps, &event_cfg);

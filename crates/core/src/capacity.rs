@@ -451,8 +451,8 @@ pub struct PlanValidation {
     pub windows: Vec<WindowReplay>,
     /// True when every window stayed under the backpressure tolerance.
     pub all_low_risk: bool,
-    /// Simulator ticks not executed exactly (macro-stepped or advanced
-    /// in closed form), summed over all windows — the
+    /// Simulator ticks not executed exactly (advanced in closed form),
+    /// summed over all windows — the
     /// replay-acceleration telemetry mirrored by the
     /// `caladrius_sim_ticks_skipped_total` counter.
     pub ticks_skipped: u64,
@@ -460,8 +460,8 @@ pub struct PlanValidation {
     /// all windows (mirrors `caladrius_sim_events_total`).
     pub sim_events: u64,
     /// Ticks advanced in closed form between scheduler events, summed
-    /// over all windows — the event-mode share of
-    /// [`PlanValidation::ticks_skipped`] (mirrors
+    /// over all windows; equal to [`PlanValidation::ticks_skipped`]
+    /// (mirrors
     /// `caladrius_sim_ticks_closed_form_total`).
     pub closed_form_ticks: u64,
 }
@@ -473,7 +473,7 @@ pub struct PlanValidation {
 /// the same `heron-sim` substrate the models were fitted against decides
 /// whether the proposed parallelisms actually hold the forecast load
 /// without backpressure. Replays run with the planner's pooled,
-/// macro-stepping simulations (see
+/// event-driven simulations (see
 /// [`caladrius_planner::replay_timeline`]).
 pub fn validate_plan(
     base: &Topology,
@@ -655,7 +655,7 @@ mod tests {
         assert!(!v.all_low_risk);
         assert!(
             v.ticks_skipped > 0,
-            "the steady healthy window must macro-step"
+            "the steady healthy window must advance in closed form"
         );
         assert_eq!(
             v.ticks_skipped,

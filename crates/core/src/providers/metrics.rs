@@ -39,46 +39,6 @@ pub trait MetricsProvider: Send + Sync {
         to: i64,
     ) -> Result<Vec<(u32, Vec<Sample>)>>;
 
-    /// Delta variant of [`MetricsProvider::component_series`]: samples in
-    /// `(since, to]` only. The default delegates to the range read;
-    /// providers backed by a tsdb with a decoded-tail fast path override
-    /// it so incremental refits read only the new minutes.
-    fn component_series_since(
-        &self,
-        topology: &str,
-        component: &str,
-        metric_name: &str,
-        since: i64,
-        to: i64,
-    ) -> Result<Vec<Sample>> {
-        self.component_series(
-            topology,
-            component,
-            metric_name,
-            since.saturating_add(1),
-            to,
-        )
-    }
-
-    /// Delta variant of [`MetricsProvider::per_instance_series`]: samples
-    /// in `(since, to]` only.
-    fn per_instance_series_since(
-        &self,
-        topology: &str,
-        component: &str,
-        metric_name: &str,
-        since: i64,
-        to: i64,
-    ) -> Result<Vec<(u32, Vec<Sample>)>> {
-        self.per_instance_series(
-            topology,
-            component,
-            metric_name,
-            since.saturating_add(1),
-            to,
-        )
-    }
-
     /// Timestamp (ms) of the newest recorded minute for the topology, if
     /// any data exists. Doubles as the data watermark keying the model
     /// cache in [`crate::service::Caladrius`], so it must advance whenever
@@ -106,6 +66,13 @@ pub trait MetricsProvider: Send + Sync {
     /// exposes them (`None` for providers without a tail cache).
     fn tail_cache_stats(&self) -> Option<caladrius_tsdb::TailCacheStats> {
         None
+    }
+
+    /// Scope ids (`db` label values) of the tsdb stores behind this
+    /// provider, so a service's exposition includes its own stores'
+    /// series and no other's. Empty for providers without a tsdb.
+    fn db_scopes(&self) -> Vec<String> {
+        Vec::new()
     }
 
     /// Raw series access for ad-hoc queries (the metrics-debugging
@@ -165,38 +132,6 @@ impl MetricsProvider for SimMetricsProvider {
         Ok(self.metrics.per_instance(metric_name, component, from, to))
     }
 
-    fn component_series_since(
-        &self,
-        topology: &str,
-        component: &str,
-        metric_name: &str,
-        since: i64,
-        to: i64,
-    ) -> Result<Vec<Sample>> {
-        if topology != self.metrics.topology() {
-            return Err(CoreError::Unknown(format!("topology {topology:?}")));
-        }
-        Ok(self
-            .metrics
-            .component_sum_since(metric_name, Some(component), since, to))
-    }
-
-    fn per_instance_series_since(
-        &self,
-        topology: &str,
-        component: &str,
-        metric_name: &str,
-        since: i64,
-        to: i64,
-    ) -> Result<Vec<(u32, Vec<Sample>)>> {
-        if topology != self.metrics.topology() {
-            return Err(CoreError::Unknown(format!("topology {topology:?}")));
-        }
-        Ok(self
-            .metrics
-            .per_instance_since(metric_name, component, since, to))
-    }
-
     fn latest_minute(&self, topology: &str) -> Option<i64> {
         if topology != self.metrics.topology() {
             return None;
@@ -217,6 +152,10 @@ impl MetricsProvider for SimMetricsProvider {
 
     fn tail_cache_stats(&self) -> Option<caladrius_tsdb::TailCacheStats> {
         Some(self.metrics.db().tail_cache_stats())
+    }
+
+    fn db_scopes(&self) -> Vec<String> {
+        vec![self.metrics.db().scope_id().to_string()]
     }
 
     fn select_series(
@@ -254,57 +193,16 @@ pub fn component_observations(
     from: i64,
     to: i64,
 ) -> Result<Vec<ComponentObservation>> {
-    // `(from - 1, to]` == `[from, to]`: one fetch path for both the full
-    // fit and the delta, so the two assemble identically.
-    let observations =
-        component_observations_since(provider, topology, component, upstream_emits, from - 1, to)?;
-    if observations.is_empty() {
-        return Err(CoreError::NotEnoughObservations {
-            what: format!("component observations for {component:?}"),
-            needed: 1,
-            got: 0,
-        });
-    }
-    Ok(observations)
-}
-
-/// Delta variant of [`component_observations`]: windows in `(since, to]`
-/// only, read through the provider's decoded-tail fast path. An empty
-/// result is *not* an error here — a component may simply have produced
-/// no new minutes yet.
-pub fn component_observations_since(
-    provider: &dyn MetricsProvider,
-    topology: &str,
-    component: &str,
-    upstream_emits: &[(String, f64)],
-    since: i64,
-    to: i64,
-) -> Result<Vec<ComponentObservation>> {
-    let input =
-        provider.component_series_since(topology, component, metric::EXECUTE_COUNT, since, to)?;
-    let output =
-        provider.component_series_since(topology, component, metric::EMIT_COUNT, since, to)?;
-    let bp = provider.component_series_since(
-        topology,
-        component,
-        metric::BACKPRESSURE_TIME,
-        since,
-        to,
-    )?;
-    let per_instance = provider.per_instance_series_since(
-        topology,
-        component,
-        metric::EXECUTE_COUNT,
-        since,
-        to,
-    )?;
+    let input = provider.component_series(topology, component, metric::EXECUTE_COUNT, from, to)?;
+    let output = provider.component_series(topology, component, metric::EMIT_COUNT, from, to)?;
+    let bp = provider.component_series(topology, component, metric::BACKPRESSURE_TIME, from, to)?;
+    let per_instance =
+        provider.per_instance_series(topology, component, metric::EXECUTE_COUNT, from, to)?;
 
     // Source = weighted sum of upstream emissions, minute-aligned.
     let mut source: BTreeMap<i64, f64> = BTreeMap::new();
     for (upstream, weight) in upstream_emits {
-        for s in
-            provider.component_series_since(topology, upstream, metric::EMIT_COUNT, since, to)?
-        {
+        for s in provider.component_series(topology, upstream, metric::EMIT_COUNT, from, to)? {
             *source.entry(s.ts).or_insert(0.0) += s.value * weight;
         }
     }
@@ -338,6 +236,13 @@ pub fn component_observations_since(
             backpressured,
         });
     }
+    if observations.is_empty() {
+        return Err(CoreError::NotEnoughObservations {
+            what: format!("component observations for {component:?}"),
+            needed: 1,
+            got: 0,
+        });
+    }
     Ok(observations)
 }
 
@@ -350,34 +255,18 @@ pub fn source_history(
     from: i64,
     to: i64,
 ) -> Result<Vec<DataPoint>> {
-    let history = source_history_since(provider, topology, spouts, from - 1, to)?;
-    if history.is_empty() {
+    let mut by_ts: BTreeMap<i64, f64> = BTreeMap::new();
+    for spout in spouts {
+        for s in provider.component_series(topology, spout, metric::SOURCE_OFFERED, from, to)? {
+            *by_ts.entry(s.ts).or_insert(0.0) += s.value;
+        }
+    }
+    if by_ts.is_empty() {
         return Err(CoreError::NotEnoughObservations {
             what: format!("source history for {topology:?}"),
             needed: 1,
             got: 0,
         });
-    }
-    Ok(history)
-}
-
-/// Delta variant of [`source_history`]: offered-load points in
-/// `(since, to]` only, via the decoded-tail fast path. Empty is not an
-/// error — no new minutes may have landed yet.
-pub fn source_history_since(
-    provider: &dyn MetricsProvider,
-    topology: &str,
-    spouts: &[String],
-    since: i64,
-    to: i64,
-) -> Result<Vec<DataPoint>> {
-    let mut by_ts: BTreeMap<i64, f64> = BTreeMap::new();
-    for spout in spouts {
-        for s in
-            provider.component_series_since(topology, spout, metric::SOURCE_OFFERED, since, to)?
-        {
-            *by_ts.entry(s.ts).or_insert(0.0) += s.value;
-        }
     }
     Ok(by_ts
         .into_iter()
@@ -399,42 +288,11 @@ pub fn cpu_observations(
     from: i64,
     to: i64,
 ) -> Result<Vec<CpuObservation>> {
-    let observations = cpu_observations_since(provider, topology, component, from - 1, to)?;
-    if observations.is_empty() {
-        return Err(CoreError::NotEnoughObservations {
-            what: format!("cpu observations for {component:?}"),
-            needed: 2,
-            got: 0,
-        });
-    }
-    Ok(observations)
-}
-
-/// Delta variant of [`cpu_observations`]: windows in `(since, to]` only,
-/// via the decoded-tail fast path. Empty is not an error.
-pub fn cpu_observations_since(
-    provider: &dyn MetricsProvider,
-    topology: &str,
-    component: &str,
-    since: i64,
-    to: i64,
-) -> Result<Vec<CpuObservation>> {
-    let inputs = provider.per_instance_series_since(
-        topology,
-        component,
-        metric::EXECUTE_COUNT,
-        since,
-        to,
-    )?;
-    let cpus =
-        provider.per_instance_series_since(topology, component, metric::CPU_LOAD, since, to)?;
-    let bps = provider.per_instance_series_since(
-        topology,
-        component,
-        metric::BACKPRESSURE_TIME,
-        since,
-        to,
-    )?;
+    let inputs =
+        provider.per_instance_series(topology, component, metric::EXECUTE_COUNT, from, to)?;
+    let cpus = provider.per_instance_series(topology, component, metric::CPU_LOAD, from, to)?;
+    let bps =
+        provider.per_instance_series(topology, component, metric::BACKPRESSURE_TIME, from, to)?;
     let by_instance = |series: Vec<(u32, Vec<Sample>)>| -> BTreeMap<u32, BTreeMap<i64, f64>> {
         series
             .into_iter()
@@ -463,6 +321,13 @@ pub fn cpu_observations_since(
                 });
             }
         }
+    }
+    if observations.is_empty() {
+        return Err(CoreError::NotEnoughObservations {
+            what: format!("cpu observations for {component:?}"),
+            needed: 2,
+            got: 0,
+        });
     }
     Ok(observations)
 }

@@ -13,8 +13,7 @@ use crate::model::topology::{BackpressureRisk, TopologyModel, TopologyPrediction
 use crate::model::traits::{ModelOutput, ModelRegistry, PerformanceQuery};
 use crate::providers::graph::GraphService;
 use crate::providers::metrics::{
-    component_observations, component_observations_since, cpu_observations, cpu_observations_since,
-    source_history, source_history_since, MetricsProvider,
+    component_observations, cpu_observations, source_history, MetricsProvider,
 };
 use crate::providers::tracker::TopologyTracker;
 use crate::traffic::{TrafficForecast, TrafficModelRegistry};
@@ -201,6 +200,15 @@ fn fit_jobs(spec: &caladrius_graph::topology_graph::LogicalSpec) -> Vec<FitJob> 
         .collect()
 }
 
+/// An incremental read of `(old watermark, new watermark]`: the range
+/// helpers' "no observations" error just means nothing new has landed.
+fn nothing_new_is_empty<T>(delta: Result<Vec<T>>) -> Result<Vec<T>> {
+    match delta {
+        Err(CoreError::NotEnoughObservations { .. }) => Ok(Vec::new()),
+        other => other,
+    }
+}
+
 /// What [`Caladrius::fitted_models`] hands out: the fitted topology model
 /// and the per-component CPU models, shared with the cache.
 pub type FittedModels = (Arc<TopologyModel>, Arc<HashMap<String, CpuModel>>);
@@ -237,6 +245,8 @@ pub struct Caladrius {
     fit_duration: Histogram,
     plan_duration: Histogram,
     accuracy: AccuracyMonitor,
+    /// This instance's `service` label value.
+    scope_id: String,
 }
 
 impl std::fmt::Debug for Caladrius {
@@ -368,7 +378,18 @@ impl Caladrius {
             fit_duration: registry.histogram("caladrius_model_fit_duration_seconds", &labels),
             plan_duration: registry.histogram("caladrius_plan_duration_seconds", &labels),
             accuracy: AccuracyMonitor::new(&service_id),
+            scope_id: service_id,
         }
+    }
+
+    /// The obs scopes this instance owns, as `(label, scope id)` pairs:
+    /// its own `service` id and the `db` ids of its metrics stores. A
+    /// front door renders exactly these (plus unscoped series) on
+    /// `/metrics/service`.
+    pub fn obs_scopes(&self) -> Vec<(&'static str, String)> {
+        let mut scopes = vec![("service", self.scope_id.clone())];
+        scopes.extend(self.metrics.db_scopes().into_iter().map(|id| ("db", id)));
+        scopes
     }
 
     /// The active configuration.
@@ -814,8 +835,8 @@ impl Caladrius {
     }
 
     /// The incremental (Stale) path: reads only the
-    /// `(entry.watermark, watermark]` delta through the providers'
-    /// since-reads (which ride the tsdb decoded-tail fast path), pushes
+    /// `(entry.watermark, watermark]` delta through the range helpers
+    /// (whose newest-chunk reads ride the tsdb decoded-tail cache), pushes
     /// it into the retained sufficient statistics, and re-solves every
     /// model in O(1) per model. Because batch fits stream through the
     /// same accumulators in the same order, the result is exactly what a
@@ -829,7 +850,7 @@ impl Caladrius {
         let logical = self.graphs.logical(self.tracker.as_ref(), topology)?;
         let spec = logical.spec.clone();
         let metrics = self.metrics.as_ref();
-        let since = entry.watermark;
+        let from = entry.watermark.saturating_add(1);
 
         let mut models = HashMap::new();
         for (name, parallelism, upstreams, _) in fit_jobs(&spec) {
@@ -841,9 +862,9 @@ impl Caladrius {
                     "cached fit statistics for {name:?} cover a different parallelism"
                 )));
             }
-            let delta = component_observations_since(
-                metrics, topology, &name, &upstreams, since, watermark,
-            )?;
+            let delta = nothing_new_is_empty(component_observations(
+                metrics, topology, &name, &upstreams, from, watermark,
+            ))?;
             for o in &delta {
                 stats.push(o);
             }
@@ -857,7 +878,8 @@ impl Caladrius {
         let mut cpu_models = HashMap::new();
         for name in entry.fit_stats.keys().cloned().collect::<Vec<_>>() {
             let stats = entry.cpu_stats.entry(name.clone()).or_default();
-            let delta = cpu_observations_since(metrics, topology, &name, since, watermark)?;
+            let delta =
+                nothing_new_is_empty(cpu_observations(metrics, topology, &name, from, watermark))?;
             for o in &delta {
                 stats.push(o);
             }
@@ -1411,11 +1433,10 @@ impl Caladrius {
     fn realize(&self, prediction: &PendingPrediction) -> Option<f64> {
         let topology = &prediction.topology;
         // Window ends are exclusive: the sample at `window_end` belongs
-        // to the next window. The reads go through the since-APIs
-        // (`(since, to]` with `since = window_start - 1`), which ride
-        // the tsdb decoded-tail fast path — scoring windows always sit
-        // at the recent end of the store.
-        let since = prediction.window_start - 1;
+        // to the next window. Scoring windows always sit at the recent
+        // end of the store, so the reads ride the tsdb decoded-tail cache.
+        // An empty window has no peak.
+        let from = prediction.window_start;
         let to = prediction.window_end - 1;
         let peak = |series: Vec<DataPoint>| {
             series
@@ -1429,8 +1450,7 @@ impl Caladrius {
             PredictionKind::Traffic => {
                 let spouts = self.spouts(topology).ok()?;
                 let history =
-                    source_history_since(self.metrics.as_ref(), topology, &spouts, since, to)
-                        .ok()?;
+                    source_history(self.metrics.as_ref(), topology, &spouts, from, to).ok()?;
                 peak(history)
             }
             PredictionKind::Throughput => {
@@ -1438,11 +1458,11 @@ impl Caladrius {
                 for sink in self.sinks(topology).ok()? {
                     let series = self
                         .metrics
-                        .component_series_since(
+                        .component_series(
                             topology,
                             &sink,
                             heron_sim::metrics::metric::EMIT_COUNT,
-                            since,
+                            from,
                             to,
                         )
                         .ok()?;

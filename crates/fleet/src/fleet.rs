@@ -205,6 +205,8 @@ pub struct Fleet {
     shards: Vec<Shard>,
     /// topology id → (shard index, that topology's metrics store).
     assignments: RwLock<HashMap<String, (usize, SimMetrics)>>,
+    /// This fleet's `fleet` label value.
+    scope_id: String,
 }
 
 impl Fleet {
@@ -219,7 +221,19 @@ impl Fleet {
             config,
             shards,
             assignments: RwLock::new(HashMap::new()),
+            scope_id: fleet_id,
         }
+    }
+
+    /// The obs scopes this fleet owns, as `(label, scope id)` pairs: its
+    /// own `fleet` id plus every shard service's scopes (see
+    /// [`Caladrius::obs_scopes`]).
+    pub fn obs_scopes(&self) -> Vec<(&'static str, String)> {
+        let mut scopes = vec![("fleet", self.scope_id.clone())];
+        for shard in &self.shards {
+            scopes.extend(shard.service.obs_scopes());
+        }
+        scopes
     }
 
     /// The fleet configuration.

@@ -89,32 +89,6 @@ impl MetricsProvider for ShardMetricsProvider {
             .per_instance(metric_name, component, from, to))
     }
 
-    fn component_series_since(
-        &self,
-        topology: &str,
-        component: &str,
-        metric_name: &str,
-        since: i64,
-        to: i64,
-    ) -> Result<Vec<Sample>> {
-        Ok(self
-            .lookup(topology)?
-            .component_sum_since(metric_name, Some(component), since, to))
-    }
-
-    fn per_instance_series_since(
-        &self,
-        topology: &str,
-        component: &str,
-        metric_name: &str,
-        since: i64,
-        to: i64,
-    ) -> Result<Vec<(u32, Vec<Sample>)>> {
-        Ok(self
-            .lookup(topology)?
-            .per_instance_since(metric_name, component, since, to))
-    }
-
     fn latest_minute(&self, topology: &str) -> Option<i64> {
         self.metrics(topology)?.db().watermark()
     }
@@ -154,6 +128,14 @@ impl MetricsProvider for ShardMetricsProvider {
             total.misses += stats.misses;
         }
         Some(total)
+    }
+
+    fn db_scopes(&self) -> Vec<String> {
+        let topologies = self.topologies.read();
+        topologies
+            .values()
+            .map(|m| m.db().scope_id().to_string())
+            .collect()
     }
 
     fn select_series(

@@ -127,7 +127,7 @@ impl FleetService {
             ("POST", ["fleet", "plan"]) => (PLAN_ROUTE, self.plan(request)),
             ("GET", ["fleet", "jobs", id]) => ("/fleet/jobs/{id}", self.job_status(id)),
             ("GET", ["fleet", "health"]) => ("/fleet/health", self.health()),
-            ("GET", ["metrics", "service"]) => ("/metrics/service", Self::service_metrics()),
+            ("GET", ["metrics", "service"]) => ("/metrics/service", self.service_metrics()),
             ("GET", ["trace", "recent"]) => (
                 "/trace/recent",
                 caladrius_api::trace_recent_response(request),
@@ -298,13 +298,12 @@ impl FleetService {
         )
     }
 
-    fn service_metrics() -> Response {
-        Response {
-            status: 200,
-            content_type: caladrius_obs::PROMETHEUS_CONTENT_TYPE.into(),
-            body: caladrius_obs::render_prometheus(caladrius_obs::global_registry()).into_bytes(),
-            headers: Vec::new(),
-        }
+    /// `GET /metrics/service` — unscoped series plus this front door's
+    /// own: its fleet, every shard's service and stores, its job runner.
+    fn service_metrics(&self) -> Response {
+        let mut owned = self.fleet.obs_scopes();
+        owned.push(("runner", self.jobs.scope_id().to_string()));
+        caladrius_api::routes::prometheus_response(&owned)
     }
 }
 

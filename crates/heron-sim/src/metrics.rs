@@ -210,30 +210,6 @@ impl SimMetrics {
             .unwrap_or_default()
     }
 
-    /// Decoded-tail variant of [`SimMetrics::component_sum`]: per-minute
-    /// sum over `(since, to]` only, reading each series through the
-    /// tsdb's cached-tail fast path. Incremental model refits use this so
-    /// absorbing one new minute decodes one chunk at most.
-    pub fn component_sum_since(
-        &self,
-        name: &str,
-        component: Option<&str>,
-        since: i64,
-        to: i64,
-    ) -> Vec<Sample> {
-        self.db
-            .aggregate_since(
-                name,
-                &self.base_filters(component),
-                since,
-                to,
-                60_000,
-                Aggregation::Sum,
-                Aggregation::Sum,
-            )
-            .unwrap_or_default()
-    }
-
     /// Per-minute mean of a metric across instances of a component.
     pub fn component_mean(&self, name: &str, component: &str, from: i64, to: i64) -> Vec<Sample> {
         self.db
@@ -283,32 +259,6 @@ impl SimMetrics {
                 &self.base_filters(Some(component)),
                 tag::INSTANCE,
                 from,
-                to,
-                60_000,
-                Aggregation::Sum,
-                Aggregation::Sum,
-            )
-            .unwrap_or_default()
-            .into_iter()
-            .filter_map(|(g, s)| g.parse::<u32>().ok().map(|i| (i, s)))
-            .collect()
-    }
-
-    /// Decoded-tail variant of [`SimMetrics::per_instance`]: per-instance
-    /// series over `(since, to]` only, via the cached-tail fast path.
-    pub fn per_instance_since(
-        &self,
-        name: &str,
-        component: &str,
-        since: i64,
-        to: i64,
-    ) -> Vec<(u32, Vec<Sample>)> {
-        self.db
-            .aggregate_by_since(
-                name,
-                &self.base_filters(Some(component)),
-                tag::INSTANCE,
-                since,
                 to,
                 60_000,
                 Aggregation::Sum,
@@ -400,30 +350,6 @@ mod tests {
             b.component_sum(metric::EMIT_COUNT, Some("c"), 0, 0)[0].value,
             2.0
         );
-    }
-
-    #[test]
-    fn since_reads_match_range_suffix() {
-        let m = filled();
-        let since = 2 * 60_000;
-        let full = m.component_sum(metric::EXECUTE_COUNT, Some("splitter"), 0, i64::MAX);
-        let tail = m.component_sum_since(metric::EXECUTE_COUNT, Some("splitter"), since, i64::MAX);
-        let suffix: Vec<_> = full.iter().filter(|s| s.ts > since).collect();
-        assert_eq!(tail.len(), suffix.len());
-        for (a, b) in tail.iter().zip(&suffix) {
-            assert_eq!((a.ts, a.value), (b.ts, b.value));
-        }
-        let groups = m.per_instance(metric::EXECUTE_COUNT, "splitter", 0, i64::MAX);
-        let tails = m.per_instance_since(metric::EXECUTE_COUNT, "splitter", since, i64::MAX);
-        assert_eq!(groups.len(), tails.len());
-        for ((gi, gs), (ti, ts)) in groups.iter().zip(&tails) {
-            assert_eq!(gi, ti);
-            let suffix: Vec<_> = gs.iter().filter(|s| s.ts > since).collect();
-            assert_eq!(ts.len(), suffix.len());
-            for (a, b) in ts.iter().zip(&suffix) {
-                assert_eq!((a.ts, a.value), (b.ts, b.value));
-            }
-        }
     }
 
     #[test]

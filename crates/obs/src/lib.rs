@@ -40,7 +40,10 @@ pub use global::{
     evaluate_slos, flight as global_flight, next_scope_id, registry as global_registry,
     slos as global_slos, span as global_span, tracer,
 };
-pub use prom::{render as render_prometheus, PROMETHEUS_CONTENT_TYPE};
+pub use prom::{
+    render as render_prometheus, render_owned as render_prometheus_owned, PROMETHEUS_CONTENT_TYPE,
+    SCOPE_LABELS,
+};
 pub use registry::{
     BucketCount, Counter, Gauge, Histogram, HistogramSnapshot, MetricFamily, MetricHandle,
     MetricKind, MetricRow, MetricsRegistry, HISTOGRAM_BUCKETS,

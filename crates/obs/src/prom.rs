@@ -198,6 +198,33 @@ pub fn render(registry: &MetricsRegistry) -> String {
     out
 }
 
+/// Label names whose values are per-instance scope ids minted by
+/// [`crate::next_scope_id`]: a row carrying one belongs to exactly one
+/// service, job runner, metrics database or fleet.
+pub const SCOPE_LABELS: [&str; 4] = ["service", "runner", "db", "fleet"];
+
+/// Renders the rows of `registry` that one instance owns: every unscoped
+/// row, plus each row whose scope labels ([`SCOPE_LABELS`]) all appear
+/// in `owned` as `(label, scope id)` pairs. Families left without rows
+/// are omitted. Instances sharing the process-wide registry expose
+/// through this, so one instance's scrape never shows another's series.
+pub fn render_owned(registry: &MetricsRegistry, owned: &[(&str, String)]) -> String {
+    let owns = |labels: &[(String, String)]| {
+        labels
+            .iter()
+            .filter(|(k, _)| SCOPE_LABELS.contains(&k.as_str()))
+            .all(|(k, v)| owned.iter().any(|(ok, ov)| ok == k && ov == v))
+    };
+    let mut out = String::new();
+    for mut family in registry.families() {
+        family.rows.retain(|row| owns(&row.labels));
+        if !family.rows.is_empty() {
+            render_family(&mut out, &family);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,6 +253,21 @@ mod tests {
         assert!(text
             .lines()
             .any(|l| l.starts_with("lat_seconds_bucket") && l.ends_with(" 2")));
+    }
+
+    #[test]
+    fn owned_render_keeps_unscoped_and_owned_rows_only() {
+        let r = MetricsRegistry::new();
+        r.counter("req_total", &[("route", "/health")]).inc();
+        r.counter("fits_total", &[("service", "1")]).inc();
+        r.counter("fits_total", &[("service", "2")]).inc();
+        r.counter("ingest_total", &[("db", "2"), ("shard", "0")])
+            .inc();
+        let text = render_owned(&r, &[("service", "1".to_string())]);
+        assert!(text.contains("req_total{route=\"/health\"} 1\n"));
+        assert!(text.contains("fits_total{service=\"1\"} 1\n"));
+        assert!(!text.contains("service=\"2\""));
+        assert!(!text.contains("ingest_total"), "empty families are omitted");
     }
 
     #[test]

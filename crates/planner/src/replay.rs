@@ -3,6 +3,14 @@
 //! simulator at the window's peak forecast rate, and the observed
 //! throughput and backpressure are reported next to the model's
 //! prediction.
+//!
+//! Window simulations always run on the simulator's event scheduler
+//! ([`SimConfig::event_mode`]): relaxed stretches advance in closed form
+//! between scheduler events, congested ones tick exactly, so backpressure
+//! verdicts match an exact run and sink rates agree within the workspace
+//! equivalence suite's 0.1 % tolerance. Where event mode cannot engage
+//! (finite stream managers, sub-second ticks, more than 64 flow terms)
+//! the simulator runs exact ticks.
 
 use crate::plan::{PlanError, PlanTimeline, WindowPlan};
 use caladrius_exec::ExecPool;
@@ -12,14 +20,6 @@ use heron_sim::metrics::{metric, SimMetrics};
 use heron_sim::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
-
-fn default_macro_step() -> bool {
-    true
-}
-
-fn default_event_mode() -> bool {
-    true
-}
 
 /// Replay knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -35,25 +35,6 @@ pub struct ReplayConfig {
     /// Mean per-minute backpressure (ms) above which a window is
     /// flagged as risky.
     pub backpressure_tolerance_ms: f64,
-    /// Steady-state macro-stepping in the per-window simulations
-    /// (default `true`). Replays run at a constant per-window rate, the
-    /// regime macro-stepping is built for; results stay deterministic
-    /// for any pool width but are not bit-identical to an exact-tick
-    /// run — the replay suite bounds the divergence (sink rate within
-    /// 0.1 %, identical backpressure verdicts). Disable for strict
-    /// tick-for-tick replays.
-    #[serde(default = "default_macro_step")]
-    pub macro_step: bool,
-    /// Event-driven advancement in the per-window simulations (default
-    /// `true`). The window minutes run on the simulator's event
-    /// scheduler, advancing relaxed stretches in closed form even where
-    /// macro-stepping cannot engage; congested windows fall back to
-    /// exact ticks, so backpressure verdicts are unchanged. Per-window
-    /// coverage is reported in [`WindowReplay::sim_events`] /
-    /// [`WindowReplay::closed_form_ticks`]. Disable for strict
-    /// tick-for-tick replays.
-    #[serde(default = "default_event_mode")]
-    pub event_mode: bool,
 }
 
 impl Default for ReplayConfig {
@@ -64,8 +45,6 @@ impl Default for ReplayConfig {
             seed: 0xCA1AD,
             metric_noise: 0.0,
             backpressure_tolerance_ms: 1.0,
-            macro_step: default_macro_step(),
-            event_mode: default_event_mode(),
         }
     }
 }
@@ -86,12 +65,11 @@ pub struct WindowReplay {
     /// Whether the window stayed under the backpressure tolerance.
     pub low_risk: bool,
     /// Simulator ticks this window's replay did not execute exactly —
-    /// macro-stepped or advanced in closed form (0 when both
-    /// [`ReplayConfig::macro_step`] and [`ReplayConfig::event_mode`] are
-    /// off, or the window never settled).
+    /// advanced in closed form (0 when the window never settled or event
+    /// mode could not engage).
     #[serde(default)]
     pub ticks_skipped: u64,
-    /// Scheduler events this window's replay processed in event mode.
+    /// Scheduler events this window's replay processed.
     #[serde(default)]
     pub sim_events: u64,
     /// Ticks this window's replay advanced in closed form between
@@ -167,8 +145,7 @@ fn replay_window(
                 base.clone(),
                 SimConfig {
                     metric_noise: config.metric_noise,
-                    macro_step: config.macro_step,
-                    event_mode: config.event_mode,
+                    event_mode: true,
                     ..SimConfig::default()
                 },
             )

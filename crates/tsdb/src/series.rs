@@ -81,23 +81,25 @@ struct Chunk {
 /// Default number of samples buffered in the mutable head before sealing.
 pub const DEFAULT_CHUNK_SIZE: usize = 240;
 
-/// Hit/miss outcome of one decoded-tail read, for the caller's counters.
+/// Outcome of one range read's newest-sealed-chunk lookup, for the
+/// caller's counters. A read whose range misses the newest sealed chunk
+/// counts neither.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TailReadStats {
-    /// Sealed-chunk decodes served from the decoded-tail cache.
+    /// Newest-chunk lookups served from the decoded-tail cache.
     pub cache_hits: u64,
-    /// Sealed chunks that had to be Gorilla-decoded.
+    /// Newest-chunk lookups that had to Gorilla-decode the chunk.
     pub cache_misses: u64,
 }
 
-/// Cache of the most recently decoded sealed chunk, keyed by the series
+/// Cache of the decoded newest sealed chunk, keyed by the series
 /// truncation generation and the chunk's index.
 ///
-/// Tail reads (`samples_since`) straddle at most a handful of sealed
-/// chunks, and between two consecutive incremental fits it is almost
-/// always the *same* last chunk — caching its decode turns the steady
-/// state into "copy a few samples out of a vec" instead of a Gorilla
-/// bitstream walk.
+/// A read of recent history (an incremental fit's delta, a trailing
+/// window) always ends in the newest sealed chunk, and between two
+/// consecutive reads it is almost always the *same* chunk — caching its
+/// decode turns the steady state into "copy a few samples out of a vec"
+/// instead of a Gorilla bitstream walk.
 #[derive(Debug, Default)]
 struct TailCache {
     /// `(generation, chunk index)` the decode belongs to.
@@ -220,44 +222,26 @@ impl Series {
     /// order.
     pub fn samples(&self, from: i64, to: i64) -> Result<Vec<Sample>> {
         let mut out = Vec::new();
-        for chunk in &self.chunks {
-            if chunk.end < from || chunk.start > to {
-                continue;
-            }
-            let decoded = encoding::decompress(&chunk.block)?;
-            out.extend(decoded.into_iter().filter(|s| s.ts >= from && s.ts <= to));
-        }
-        out.extend(
-            self.head
-                .iter()
-                .copied()
-                .filter(|s| s.ts >= from && s.ts <= to),
-        );
-        // Chunks are sealed in arrival order; a merge keeps the guarantee
-        // even when late data crossed chunk boundaries.
-        out.sort_by_key(|s| s.ts);
+        self.samples_into(from, to, &mut out)?;
         Ok(out)
     }
 
-    /// Returns every stored sample in time order.
-    pub fn all(&self) -> Result<Vec<Sample>> {
-        self.samples(i64::MIN, i64::MAX)
-    }
-
-    /// Appends all samples with `ts > since` (exclusive) to `out` in time
-    /// order — the decoded-tail fast path for incremental fits.
+    /// Buffer-reusing form of [`Series::samples`]: clears `out`, fills it
+    /// with the samples in `[from, to]` in time order, and reports whether
+    /// the newest sealed chunk came from the decoded-tail cache.
     ///
-    /// Sealed chunks that end at or before `since` are skipped from their
-    /// index alone; the newest straddling chunk is decoded through the
-    /// per-series decoded-tail cache so consecutive tail reads do not
-    /// re-walk the Gorilla bitstream. `out` is cleared first, so callers
-    /// can reuse one buffer across many series.
-    pub fn samples_since_into(&self, since: i64, out: &mut Vec<Sample>) -> Result<TailReadStats> {
+    /// Sealed chunks outside the range are skipped from their index
+    /// alone, so a read of the last minute decodes at most the newest
+    /// chunk — and that one is served from the per-series cache once
+    /// decoded, so consecutive incremental reads do not re-walk the
+    /// Gorilla bitstream.
+    pub fn samples_into(&self, from: i64, to: i64, out: &mut Vec<Sample>) -> Result<TailReadStats> {
         out.clear();
         let mut stats = TailReadStats::default();
+        let in_range = |s: &Sample| s.ts >= from && s.ts <= to;
         let last_idx = self.chunks.len().wrapping_sub(1);
         for (idx, chunk) in self.chunks.iter().enumerate() {
-            if chunk.end <= since {
+            if chunk.end < from || chunk.start > to {
                 continue;
             }
             if idx == last_idx {
@@ -269,23 +253,22 @@ impl Series {
                 } else {
                     stats.cache_hits += 1;
                 }
-                out.extend(cache.samples.iter().copied().filter(|s| s.ts > since));
+                out.extend(cache.samples.iter().copied().filter(in_range));
             } else {
-                stats.cache_misses += 1;
                 let decoded = encoding::decompress(&chunk.block)?;
-                out.extend(decoded.into_iter().filter(|s| s.ts > since));
+                out.extend(decoded.into_iter().filter(in_range));
             }
         }
-        out.extend(self.head.iter().copied().filter(|s| s.ts > since));
+        out.extend(self.head.iter().copied().filter(in_range));
+        // Chunks are sealed in arrival order; a merge keeps the guarantee
+        // even when late data crossed chunk boundaries.
         out.sort_by_key(|s| s.ts);
         Ok(stats)
     }
 
-    /// Allocating convenience wrapper over [`Series::samples_since_into`].
-    pub fn samples_since(&self, since: i64) -> Result<(Vec<Sample>, TailReadStats)> {
-        let mut out = Vec::new();
-        let stats = self.samples_since_into(since, &mut out)?;
-        Ok((out, stats))
+    /// Returns every stored sample in time order.
+    pub fn all(&self) -> Result<Vec<Sample>> {
+        self.samples(i64::MIN, i64::MAX)
     }
 
     /// Timestamp of the most recent sample, if any.
@@ -436,19 +419,11 @@ mod tests {
         assert_eq!(s.samples(0, 100).unwrap().len(), 0);
     }
 
-    #[test]
-    fn samples_since_matches_range_query() {
-        let s = filled(100); // chunk size 16
-        for since in [-1i64, 0, 5 * 60_000, 95 * 60_000, 99 * 60_000, 200 * 60_000] {
-            let (tail, _) = s.samples_since(since).unwrap();
-            let expected: Vec<Sample> = s
-                .samples(i64::MIN, i64::MAX)
-                .unwrap()
-                .into_iter()
-                .filter(|x| x.ts > since)
-                .collect();
-            assert_eq!(tail, expected, "since {since}");
-        }
+    /// Range read plus its newest-chunk lookup outcome.
+    fn read_from(s: &Series, from: i64) -> (Vec<Sample>, TailReadStats) {
+        let mut out = Vec::new();
+        let stats = s.samples_into(from, i64::MAX, &mut out).unwrap();
+        (out, stats)
     }
 
     #[test]
@@ -457,12 +432,18 @@ mod tests {
         // 0..=95, head holds 96..=99. A read from inside the last sealed
         // chunk decodes it once, then hits the cache.
         let s = filled(100);
-        let (_, first) = s.samples_since(90 * 60_000).unwrap();
+        let (_, first) = read_from(&s, 90 * 60_000);
         assert_eq!(first.cache_misses, 1);
         assert_eq!(first.cache_hits, 0);
-        let (_, second) = s.samples_since(91 * 60_000).unwrap();
+        let (_, second) = read_from(&s, 91 * 60_000);
         assert_eq!(second.cache_misses, 0);
         assert_eq!(second.cache_hits, 1);
+        // A full-history read decodes the older chunks but still serves
+        // the newest one from the cache.
+        let (all, third) = read_from(&s, i64::MIN);
+        assert_eq!(all.len(), 100);
+        assert_eq!(third.cache_hits, 1);
+        assert_eq!(third.cache_misses, 0);
     }
 
     #[test]
@@ -473,7 +454,7 @@ mod tests {
         }
         // Samples 0..16 sealed, 16..20 in head. Reading past the sealed
         // range should not decode anything.
-        let (tail, stats) = s.samples_since(17 * 60_000).unwrap();
+        let (tail, stats) = read_from(&s, 18 * 60_000);
         assert_eq!(tail.len(), 2);
         assert_eq!(stats.cache_hits + stats.cache_misses, 0);
     }
@@ -482,23 +463,23 @@ mod tests {
     fn truncation_bumps_generation_and_invalidates_cache() {
         let mut s = filled(100);
         let g0 = s.generation();
-        let (_, first) = s.samples_since(90 * 60_000).unwrap();
+        let (_, first) = read_from(&s, 90 * 60_000);
         assert_eq!(first.cache_misses, 1);
         s.truncate_before(50 * 60_000).unwrap();
         assert_eq!(s.generation(), g0 + 1);
         // Cache key carries the old generation: the next read re-decodes.
-        let (tail, after) = s.samples_since(90 * 60_000).unwrap();
+        let (tail, after) = read_from(&s, 91 * 60_000);
         assert_eq!(after.cache_hits, 0);
-        assert!(after.cache_misses >= 1);
+        assert_eq!(after.cache_misses, 1);
         assert_eq!(tail.len(), 9);
     }
 
     #[test]
     fn clone_starts_with_cold_cache() {
         let s = filled(100);
-        s.samples_since(90 * 60_000).unwrap();
+        read_from(&s, 90 * 60_000);
         let c = s.clone();
-        let (_, stats) = c.samples_since(90 * 60_000).unwrap();
+        let (_, stats) = read_from(&c, 90 * 60_000);
         assert_eq!(stats.cache_misses, 1);
     }
 }

@@ -1,5 +1,6 @@
-//! Property tests for the storage layer: compression round-trips and
-//! series/query invariants over arbitrary inputs.
+//! Property tests for the storage layer: compression round-trips,
+//! series/query invariants and decoded-tail cache transparency over
+//! arbitrary inputs.
 
 use caladrius_tsdb::encoding::{compress, decompress};
 use caladrius_tsdb::query::{bucketed, Aggregation};
@@ -31,7 +32,120 @@ fn arb_metric_stream() -> impl Strategy<Value = Vec<Sample>> {
         })
 }
 
+/// One step of a series' life: in-order pushes, late samples, explicit
+/// seals and retention truncations, with a range read after every step.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Push { gap: i64, value: f64 },
+    Late { back: i64, value: f64 },
+    Seal,
+    Truncate { frac: f64 },
+}
+
+fn arb_schedule() -> impl Strategy<Value = Vec<(Op, u8, f64)>> {
+    let op =
+        (0u8..10, 1i64..120_000, -1e9f64..1e9, 0.0f64..1.0).prop_map(|(kind, dt, value, frac)| {
+            match kind {
+                0..=5 => Op::Push { gap: dt, value },
+                6 | 7 => Op::Late {
+                    back: dt * 8,
+                    value,
+                },
+                8 => Op::Seal,
+                _ => Op::Truncate { frac: frac * 0.5 },
+            }
+        });
+    prop::collection::vec((op, 0u8..3, 0.0f64..1.0), 1..200)
+}
+
+/// Mirror of the series' sealed-chunk layout (timestamps only), so the
+/// property can aim reads at the newest sealed chunk.
+#[derive(Default)]
+struct Layout {
+    chunks: Vec<Vec<i64>>,
+    head: Vec<i64>,
+}
+
+impl Layout {
+    fn push(&mut self, ts: i64, chunk_size: usize) {
+        let idx = self.head.partition_point(|&t| t <= ts);
+        self.head.insert(idx, ts);
+        if self.head.len() >= chunk_size {
+            self.seal();
+        }
+    }
+
+    fn seal(&mut self) {
+        if !self.head.is_empty() {
+            self.chunks.push(std::mem::take(&mut self.head));
+        }
+    }
+
+    fn truncate_before(&mut self, cutoff: i64) {
+        for chunk in &mut self.chunks {
+            chunk.retain(|&t| t >= cutoff);
+        }
+        self.chunks.retain(|c| !c.is_empty());
+        self.head.retain(|&t| t >= cutoff);
+    }
+}
+
 proptest! {
+    /// A range read served through a warm decoded-tail cache returns
+    /// bit-for-bit what the same read returns on a cold clone, whether
+    /// `from` lies before, inside or after the newest sealed chunk.
+    #[test]
+    fn tail_cache_reads_match_cold_reads(
+        schedule in arb_schedule(),
+        chunk_size in 2usize..24,
+    ) {
+        let mut warm = Series::with_chunk_size(chunk_size);
+        let mut layout = Layout::default();
+        let mut newest = 0i64;
+        for (op, placement, pick) in schedule {
+            match op {
+                Op::Push { gap, value } => {
+                    newest += gap;
+                    warm.push(Sample::new(newest, value));
+                    layout.push(newest, chunk_size);
+                }
+                Op::Late { back, value } => {
+                    let ts = newest - back;
+                    warm.push(Sample::new(ts, value));
+                    layout.push(ts, chunk_size);
+                }
+                Op::Seal => {
+                    warm.seal_head();
+                    layout.seal();
+                }
+                Op::Truncate { frac } => {
+                    let cutoff = (newest as f64 * frac) as i64;
+                    warm.truncate_before(cutoff).unwrap();
+                    layout.truncate_before(cutoff);
+                }
+            }
+            let (start, end) = match layout.chunks.last() {
+                Some(c) => (c[0], c[c.len() - 1]),
+                None => (0, 0),
+            };
+            let span = ((end - start) as f64 * pick) as i64;
+            let from = match placement {
+                0 => start - 1 - span,
+                1 => start + span,
+                _ => end + 1 + span,
+            };
+            let to = if pick < 0.25 { from + span } else { i64::MAX };
+            let cold = warm.clone();
+            let got = warm.samples(from, to).unwrap();
+            let want = cold.samples(from, to).unwrap();
+            prop_assert_eq!(got.len(), want.len());
+            for (a, b) in got.iter().zip(&want) {
+                prop_assert_eq!(a.ts, b.ts);
+                prop_assert_eq!(a.value.to_bits(), b.value.to_bits());
+            }
+        }
+    }
+
     /// Gorilla compression is lossless for arbitrary (even hostile) data.
     #[test]
     fn gorilla_roundtrip_arbitrary(samples in arb_samples()) {

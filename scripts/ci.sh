@@ -23,6 +23,11 @@ cargo bench --no-run
 echo "==> cargo test -q (tier-1)"
 cargo test -q
 
+# Each service's /metrics/service exposes only its own scoped series, so
+# the observability suite must pass in any test order, serialised too.
+echo "==> observability suite, one test thread"
+cargo test -q --test observability -- --test-threads=1
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
@@ -31,8 +36,8 @@ cargo test --workspace -q
 # (and any accidental nondeterminism) shows up as a diff here. The
 # equivalence suite carries the event-scheduler contract (closed-form
 # advancement within 0.1% of exact across profile regimes), and
-# exec_determinism covers event-mode replay (replay defaults to
-# event_mode=true), so wide-vs-1-thread replay stays byte-identical.
+# exec_determinism covers event-mode replay, so wide-vs-1-thread replay
+# stays byte-identical.
 echo "==> CALADRIUS_THREADS=1 determinism variant (incl. event-mode equivalence)"
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-exec
 CALADRIUS_THREADS=1 cargo test -q --test exec_determinism --test capacity_plan

@@ -7,7 +7,7 @@ use caladrius::core::providers::{SimMetricsProvider, StaticTracker};
 use caladrius::core::Caladrius;
 use caladrius::planner::{
     plan_horizon, plan_window, replay_timeline, Assessment, CapacityOracle, PlanError,
-    PlannerConfig, ReplayConfig, ResourceLimits, WindowSpec,
+    PlannerConfig, ReplayConfig, ResourceLimits, WindowReplay, WindowSpec,
 };
 use caladrius::sim::prelude::*;
 use caladrius::workload::diamond::{diamond_topology, DiamondParallelism};
@@ -189,6 +189,7 @@ fn wordcount_plan_replays_low_risk_in_every_window() {
             replay.window
         );
         assert!(replay.sink_rate > 0.0);
+        assert_closed_form(replay);
     }
 
     let stats = caladrius.model_cache_stats();
@@ -279,6 +280,60 @@ fn diamond_plan_scales_branches_and_replays_low_risk() {
             replay.low_risk,
             "window {} backpressured in replay: {replay:?}",
             replay.window
+        );
+        assert_closed_form(replay);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Replay never needs the exact-tick fallback
+// ---------------------------------------------------------------------
+
+/// Replay always runs event mode; a window with no closed-form ticks
+/// would mean it fell back to exact ticking for the whole run.
+fn assert_closed_form(replay: &WindowReplay) {
+    assert!(
+        replay.closed_form_ticks > 0,
+        "window {} never advanced in closed form: {replay:?}",
+        replay.window
+    );
+}
+
+/// Every bolt at the planner's largest parallelism, spouts as given.
+fn at_max_parallelism(mut topology: Topology) -> Topology {
+    let max = ResourceLimits::default().max_parallelism;
+    for component in &mut topology.components {
+        if !component.kind.is_spout() {
+            component.parallelism = max;
+        }
+    }
+    topology
+}
+
+#[test]
+fn event_mode_engages_at_the_largest_planned_parallelism() {
+    // Closed-form ticks are only possible once the fluid model built
+    // (at most 64 flow terms per instance), so even the widest plan the
+    // planner may emit replays on the event scheduler, not exact ticks.
+    for topology in [
+        wordcount_topology(WORDCOUNT_PARALLELISM, 8.0e6),
+        diamond_topology(DiamondParallelism::default(), 12.0e6),
+    ] {
+        let topology = at_max_parallelism(topology);
+        let name = topology.name.clone();
+        let mut sim = Simulation::new(
+            topology,
+            SimConfig {
+                event_mode: true,
+                metric_noise: 0.0,
+                ..SimConfig::default()
+            },
+        )
+        .unwrap();
+        sim.run_minutes(3);
+        assert!(
+            sim.ticks_closed_form() > 0,
+            "{name} at max parallelism fell back to exact ticks"
         );
     }
 }

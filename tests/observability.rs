@@ -11,6 +11,7 @@ use caladrius::fleet::{Fleet, FleetConfig, FleetService, StagedWorkload};
 use caladrius::sim::prelude::*;
 use caladrius::tsdb::MetricBatch;
 use caladrius::workload::wordcount::{wordcount_topology, WordCountParallelism};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -166,6 +167,49 @@ fn metrics_service_covers_every_instrumented_layer() {
 
     // Simulator: per-minute step timing recorded while seeding metrics.
     assert!(scrape(&text, &["caladrius_sim_minute_duration_seconds_count"]).unwrap() > 0.0);
+}
+
+/// Every `(scope label, id)` pair on the sample rows of an exposition.
+fn scope_pairs(text: &str) -> BTreeSet<(String, String)> {
+    let mut pairs = BTreeSet::new();
+    for line in text.lines().filter(|l| !l.starts_with('#')) {
+        for label in caladrius::obs::SCOPE_LABELS {
+            for sep in ['{', ','] {
+                let needle = format!("{sep}{label}=\"");
+                if let Some(at) = line.find(&needle) {
+                    let rest = &line[at + needle.len()..];
+                    let id = &rest[..rest.find('"').expect("closing quote")];
+                    pairs.insert((label.to_string(), id.to_string()));
+                }
+            }
+        }
+    }
+    pairs
+}
+
+#[test]
+fn services_in_one_process_expose_disjoint_scoped_series() {
+    let (_a_server, a) = start_service();
+    let (_b_server, b) = start_service();
+    let (_fleet_server, fleet) = start_fleet();
+    let mut seen = Vec::new();
+    for client in [&a, &b, &fleet] {
+        let (status, text) = client.get("/metrics/service").unwrap();
+        assert_eq!(status, 200);
+        let pairs = scope_pairs(&text);
+        for label in ["service", "runner", "db"] {
+            assert!(
+                pairs.iter().any(|(l, _)| l == label),
+                "no {label} series in:\n{text}"
+            );
+        }
+        seen.push(pairs);
+    }
+    assert!(seen[2].iter().any(|(l, _)| l == "fleet"));
+    for (i, j) in [(0, 1), (0, 2), (1, 2)] {
+        let shared: Vec<_> = seen[i].intersection(&seen[j]).collect();
+        assert!(shared.is_empty(), "instances {i} and {j} share {shared:?}");
+    }
 }
 
 #[test]
