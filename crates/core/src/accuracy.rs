@@ -11,8 +11,8 @@
 //! central question: how wrong are the models, per model.
 
 use caladrius_obs::{Counter, Histogram, HistogramSnapshot};
+use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Mutex;
 
 /// Upper bound on outstanding predictions; the oldest are dropped first
 /// (a stuck watermark must not grow the queue without bound).
@@ -187,10 +187,7 @@ impl AccuracyMonitor {
         if prediction.window_end <= prediction.window_start || !prediction.predicted.is_finite() {
             return;
         }
-        let mut pending = self
-            .pending
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut pending = self.pending.lock();
         if pending.queue.len() == MAX_PENDING {
             let evicted = pending.queue.pop_front();
             self.dropped.inc();
@@ -218,10 +215,7 @@ impl AccuracyMonitor {
     where
         F: FnMut(&str) -> Option<i64>,
     {
-        let mut pending = self
-            .pending
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut pending = self.pending.lock();
         let any_due = pending
             .earliest_end
             .iter()
@@ -269,11 +263,7 @@ impl AccuracyMonitor {
 
     /// Predictions still waiting on their windows.
     pub fn pending_len(&self) -> usize {
-        self.pending
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .queue
-            .len()
+        self.pending.lock().queue.len()
     }
 
     /// Number of predictions scored so far.
@@ -284,10 +274,7 @@ impl AccuracyMonitor {
     /// Per-(topology, model, kind) APE summaries, sorted for
     /// determinism.
     pub fn summaries(&self) -> Vec<AccuracySummary> {
-        let histograms = self
-            .histograms
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let histograms = self.histograms.lock();
         let mut out: Vec<AccuracySummary> = histograms
             .iter()
             .map(|((topology, model, kind), h)| {
@@ -316,10 +303,7 @@ impl AccuracyMonitor {
             prediction.model.clone(),
             prediction.kind,
         );
-        let mut histograms = self
-            .histograms
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut histograms = self.histograms.lock();
         histograms
             .entry(key)
             .or_insert_with(|| {

@@ -5,6 +5,7 @@
 use crate::error::CoreError;
 use crate::model::cpu::CpuModel;
 use crate::model::topology::{TopologyModel, RISK_MARGIN};
+use crate::service::CacheStamp;
 use crate::traffic::TrafficForecast;
 use caladrius_obs::Counter;
 use caladrius_planner::{
@@ -250,15 +251,17 @@ pub fn quantize_rate(rate: f64) -> u64 {
 }
 
 /// Stable fingerprint of everything a capacity-plan search reads from
-/// the data plane: the metrics watermark and tracker plan version the
-/// models were fitted against, plus each planning window's quantized
-/// peak rate. Two runs with equal fingerprints (and an equal
-/// [`plan_request_key`]) produce byte-identical timelines, because the
-/// search is a pure function of (models, windows, planner config).
-pub fn forecast_fingerprint(watermark: i64, plan_version: u64, windows: &[WindowSpec]) -> u64 {
-    let mut bytes = Vec::with_capacity(16 + windows.len() * 24);
-    bytes.extend_from_slice(&watermark.to_le_bytes());
-    bytes.extend_from_slice(&plan_version.to_le_bytes());
+/// the data plane: the [`CacheStamp`] the models were fitted at (the
+/// metrics watermark and rewrite count, and the tracker plan version),
+/// plus each planning window's quantized peak rate. Two runs with equal
+/// fingerprints (and an equal [`plan_request_key`]) produce
+/// byte-identical timelines, because the search is a pure function of
+/// (models, windows, planner config).
+pub fn forecast_fingerprint(stamp: CacheStamp, windows: &[WindowSpec]) -> u64 {
+    let mut bytes = Vec::with_capacity(24 + windows.len() * 24);
+    bytes.extend_from_slice(&stamp.data.watermark.to_le_bytes());
+    bytes.extend_from_slice(&stamp.data.rewrites.to_le_bytes());
+    bytes.extend_from_slice(&stamp.plan_version.to_le_bytes());
     for w in windows {
         bytes.extend_from_slice(&w.start_ts.to_le_bytes());
         bytes.extend_from_slice(&w.end_ts.to_le_bytes());
@@ -306,28 +309,28 @@ pub enum PlanCacheLookup {
 }
 
 struct PlanCacheEntry {
-    watermark: i64,
-    plan_version: u64,
+    stamp: CacheStamp,
     fingerprint: u64,
     timeline: PlanTimeline,
-    stamp: u64,
+    last_used: u64,
 }
 
 /// Bounded cache of finished plan timelines, keyed by
 /// `(topology, request key)` with validity decided by the forecast
 /// fingerprint's inputs. Eviction is least-recently-used via an access
-/// stamp; the capacity bounds entries, not bytes.
+/// clock; the capacity bounds entries, not bytes.
 ///
 /// Lookup is two-level. The *fast probe* ([`PlanCache::probe`]) checks
-/// the stored `(watermark, plan_version)` pair against the live ones
-/// *before* any forecasting: the forecast is a deterministic function
-/// of data at or below the watermark, so equal versions imply an equal
-/// [`forecast_fingerprint`] and the stored timeline can be served
-/// without running the traffic models at all — that skip is where the
-/// warm-replan speedup comes from. The full fingerprint (which also
-/// covers the quantized window rates) is stored with each entry and
-/// checked by [`PlanCache::confirm`] after a forecast has actually run,
-/// as the authoritative identity.
+/// the stored [`CacheStamp`] against the live one *before* any
+/// forecasting: the forecast is a deterministic function of the data at
+/// one stamp, so equal stamps imply an equal [`forecast_fingerprint`]
+/// and the stored timeline can be served without running the traffic
+/// models at all — that skip is where the warm-replan speedup comes
+/// from. Out-of-order or duplicate samples and truncations change the
+/// stamp too, so they invalidate like a new minute does. The full
+/// fingerprint (which also covers the quantized window rates) is stored
+/// with each entry and checked by [`PlanCache::confirm`] after a
+/// forecast has actually run, as the authoritative identity.
 pub struct PlanCache {
     capacity: usize,
     entries: HashMap<(String, u64), PlanCacheEntry>,
@@ -355,21 +358,20 @@ impl PlanCache {
         self.entries.is_empty()
     }
 
-    /// Pre-forecast lookup: serves the stored timeline when the metrics
-    /// watermark and tracker plan version both still match, returns the
-    /// stale timeline as a warm-start seed when they don't.
+    /// Pre-forecast lookup: serves the stored timeline when the stamp
+    /// still matches, returns the stale timeline as a warm-start seed
+    /// when it doesn't.
     pub fn probe(
         &mut self,
         topology: &str,
         request_key: u64,
-        watermark: i64,
-        plan_version: u64,
+        stamp: CacheStamp,
     ) -> PlanCacheLookup {
         self.clock += 1;
-        let stamp = self.clock;
+        let now = self.clock;
         match self.entries.get_mut(&(topology.to_string(), request_key)) {
-            Some(entry) if entry.watermark == watermark && entry.plan_version == plan_version => {
-                entry.stamp = stamp;
+            Some(entry) if entry.stamp == stamp => {
+                entry.last_used = now;
                 PlanCacheLookup::Hit(entry.timeline.clone())
             }
             Some(entry) => PlanCacheLookup::Stale(entry.timeline.clone()),
@@ -378,8 +380,8 @@ impl PlanCache {
     }
 
     /// Post-forecast lookup: serves the stored timeline iff the full
-    /// fingerprint (watermark, plan version, quantized window rates)
-    /// matches. [`PlanCache::probe`] hitting implies this hits.
+    /// fingerprint (stamp, quantized window rates) matches.
+    /// [`PlanCache::probe`] hitting implies this hits.
     pub fn confirm(
         &mut self,
         topology: &str,
@@ -387,10 +389,10 @@ impl PlanCache {
         fingerprint: u64,
     ) -> Option<PlanTimeline> {
         self.clock += 1;
-        let stamp = self.clock;
+        let now = self.clock;
         let entry = self.entries.get_mut(&(topology.to_string(), request_key))?;
         (entry.fingerprint == fingerprint).then(|| {
-            entry.stamp = stamp;
+            entry.last_used = now;
             entry.timeline.clone()
         })
     }
@@ -401,8 +403,7 @@ impl PlanCache {
         &mut self,
         topology: &str,
         request_key: u64,
-        watermark: i64,
-        plan_version: u64,
+        stamp: CacheStamp,
         fingerprint: u64,
         timeline: PlanTimeline,
     ) -> u64 {
@@ -413,11 +414,10 @@ impl PlanCache {
         self.entries.insert(
             (topology.to_string(), request_key),
             PlanCacheEntry {
-                watermark,
-                plan_version,
+                stamp,
                 fingerprint,
                 timeline,
-                stamp: self.clock,
+                last_used: self.clock,
             },
         );
         let mut evicted = 0;
@@ -425,7 +425,7 @@ impl PlanCache {
             let oldest = self
                 .entries
                 .iter()
-                .min_by_key(|(_, e)| e.stamp)
+                .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
                 .expect("over-capacity cache is non-empty");
             self.entries.remove(&oldest);
@@ -663,6 +663,16 @@ mod tests {
         );
     }
 
+    fn stamp(watermark: i64, rewrites: u64, plan_version: u64) -> CacheStamp {
+        CacheStamp {
+            data: caladrius_tsdb::DataVersion {
+                watermark,
+                rewrites,
+            },
+            plan_version,
+        }
+    }
+
     fn timeline(tag: u32) -> PlanTimeline {
         use caladrius_planner::{PlanCost, PlannerConfig, WindowPlan};
         let parallelisms = vec![("a".to_string(), tag)];
@@ -692,16 +702,15 @@ mod tests {
             end_ts: 60_000,
             peak_rate: rate,
         };
-        let base = forecast_fingerprint(100, 5, &[w(1.0e6)]);
-        assert_eq!(base, forecast_fingerprint(100, 5, &[w(1.0e6)]));
+        let at = stamp(100, 0, 5);
+        let base = forecast_fingerprint(at, &[w(1.0e6)]);
+        assert_eq!(base, forecast_fingerprint(at, &[w(1.0e6)]));
         // Sub-1e-9 relative jitter quantizes away; real drift does not.
-        assert_eq!(
-            base,
-            forecast_fingerprint(100, 5, &[w(1.0e6 * (1.0 + 1e-12))])
-        );
-        assert_ne!(base, forecast_fingerprint(100, 5, &[w(1.01e6)]));
-        assert_ne!(base, forecast_fingerprint(101, 5, &[w(1.0e6)]));
-        assert_ne!(base, forecast_fingerprint(100, 6, &[w(1.0e6)]));
+        assert_eq!(base, forecast_fingerprint(at, &[w(1.0e6 * (1.0 + 1e-12))]));
+        assert_ne!(base, forecast_fingerprint(at, &[w(1.01e6)]));
+        assert_ne!(base, forecast_fingerprint(stamp(101, 0, 5), &[w(1.0e6)]));
+        assert_ne!(base, forecast_fingerprint(stamp(100, 1, 5), &[w(1.0e6)]));
+        assert_ne!(base, forecast_fingerprint(stamp(100, 0, 6), &[w(1.0e6)]));
     }
 
     #[test]
@@ -720,44 +729,42 @@ mod tests {
     #[test]
     fn plan_cache_probe_hit_stale_absent() {
         let mut cache = PlanCache::new(8);
-        assert_eq!(cache.probe("t", 1, 100, 5), PlanCacheLookup::Absent);
-        cache.insert("t", 1, 100, 5, 0xfeed, timeline(3));
-        assert_eq!(
-            cache.probe("t", 1, 100, 5),
-            PlanCacheLookup::Hit(timeline(3))
-        );
-        // Data moved: the entry is a warm-start seed, not a hit.
-        assert_eq!(
-            cache.probe("t", 1, 160, 5),
-            PlanCacheLookup::Stale(timeline(3))
-        );
-        assert_eq!(
-            cache.probe("t", 1, 100, 6),
-            PlanCacheLookup::Stale(timeline(3))
-        );
+        let at = stamp(100, 0, 5);
+        assert_eq!(cache.probe("t", 1, at), PlanCacheLookup::Absent);
+        cache.insert("t", 1, at, 0xfeed, timeline(3));
+        assert_eq!(cache.probe("t", 1, at), PlanCacheLookup::Hit(timeline(3)));
+        // Data moved, history was rewritten, or the plan was bumped: the
+        // entry is a warm-start seed, not a hit.
+        for moved in [stamp(160, 0, 5), stamp(100, 1, 5), stamp(100, 0, 6)] {
+            assert_eq!(
+                cache.probe("t", 1, moved),
+                PlanCacheLookup::Stale(timeline(3))
+            );
+        }
         // A different request key is a different entry entirely.
-        assert_eq!(cache.probe("t", 2, 100, 5), PlanCacheLookup::Absent);
+        assert_eq!(cache.probe("t", 2, at), PlanCacheLookup::Absent);
         assert_eq!(cache.confirm("t", 1, 0xfeed), Some(timeline(3)));
         assert_eq!(cache.confirm("t", 1, 0xdead), None);
         cache.invalidate(Some("t"));
-        assert_eq!(cache.probe("t", 1, 100, 5), PlanCacheLookup::Absent);
+        assert_eq!(cache.probe("t", 1, at), PlanCacheLookup::Absent);
     }
 
     #[test]
     fn plan_cache_evicts_least_recently_used() {
         let mut cache = PlanCache::new(2);
-        assert_eq!(cache.insert("a", 0, 1, 1, 1, timeline(1)), 0);
-        assert_eq!(cache.insert("b", 0, 1, 1, 2, timeline(2)), 0);
+        let at = stamp(1, 0, 1);
+        assert_eq!(cache.insert("a", 0, at, 1, timeline(1)), 0);
+        assert_eq!(cache.insert("b", 0, at, 2, timeline(2)), 0);
         // Touch `a` so `b` becomes the LRU entry.
-        assert!(matches!(cache.probe("a", 0, 1, 1), PlanCacheLookup::Hit(_)));
-        assert_eq!(cache.insert("c", 0, 1, 1, 3, timeline(3)), 1);
+        assert!(matches!(cache.probe("a", 0, at), PlanCacheLookup::Hit(_)));
+        assert_eq!(cache.insert("c", 0, at, 3, timeline(3)), 1);
         assert_eq!(cache.len(), 2);
-        assert!(matches!(cache.probe("a", 0, 1, 1), PlanCacheLookup::Hit(_)));
-        assert_eq!(cache.probe("b", 0, 1, 1), PlanCacheLookup::Absent);
-        assert!(matches!(cache.probe("c", 0, 1, 1), PlanCacheLookup::Hit(_)));
+        assert!(matches!(cache.probe("a", 0, at), PlanCacheLookup::Hit(_)));
+        assert_eq!(cache.probe("b", 0, at), PlanCacheLookup::Absent);
+        assert!(matches!(cache.probe("c", 0, at), PlanCacheLookup::Hit(_)));
         // Zero capacity disables caching entirely.
         let mut off = PlanCache::new(0);
-        off.insert("a", 0, 1, 1, 1, timeline(1));
+        off.insert("a", 0, at, 1, timeline(1));
         assert!(off.is_empty());
     }
 

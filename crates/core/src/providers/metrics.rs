@@ -5,7 +5,7 @@ use crate::error::{CoreError, Result};
 use crate::model::component::ComponentObservation;
 use crate::model::cpu::CpuObservation;
 use caladrius_forecast::DataPoint;
-use caladrius_tsdb::{IngestStats, Sample};
+use caladrius_tsdb::{DataVersion, IngestStats, Sample};
 use heron_sim::metrics::{metric, SimMetrics};
 use std::collections::BTreeMap;
 
@@ -39,21 +39,19 @@ pub trait MetricsProvider: Send + Sync {
         to: i64,
     ) -> Result<Vec<(u32, Vec<Sample>)>>;
 
-    /// Timestamp (ms) of the newest recorded minute for the topology, if
-    /// any data exists. Doubles as the data watermark keying the model
-    /// cache in [`crate::service::Caladrius`], so it must advance whenever
-    /// new samples land.
-    fn latest_minute(&self, topology: &str) -> Option<i64>;
+    /// The [`DataVersion`] of the topology's own metrics, `None` when
+    /// the topology is unknown or has no data. Every cache in
+    /// [`crate::service::Caladrius`] is keyed on it, so it must change
+    /// whenever data the topology's answers read from changes: new
+    /// samples move the watermark, and out-of-order or duplicate samples
+    /// and truncations move the rewrite count. Another topology's writes
+    /// must not move it.
+    fn data_version(&self, topology: &str) -> Option<DataVersion>;
 
-    /// Monotone counter of retention truncations that actually dropped
-    /// samples from the backing store, when the store exposes one.
-    /// Incremental fit consumers compare snapshots: a change means
-    /// already-absorbed history was rewritten, so accumulated sufficient
-    /// statistics are invalid and a full refit is due. `None` means the
-    /// provider cannot detect truncation (callers must then choose
-    /// between trusting the data or always refitting).
-    fn truncation_generation(&self) -> Option<u64> {
-        None
+    /// Timestamp (ms) of the newest recorded minute for the topology, if
+    /// any data exists: the watermark of [`MetricsProvider::data_version`].
+    fn latest_minute(&self, topology: &str) -> Option<i64> {
+        self.data_version(topology).map(|v| v.watermark)
     }
 
     /// Cumulative ingest counters of the backing store, if it exposes
@@ -99,6 +97,13 @@ impl SimMetricsProvider {
     pub fn new(metrics: SimMetrics) -> Self {
         Self { metrics }
     }
+
+    /// The wrapped store, when it holds `topology`.
+    fn lookup(&self, topology: &str) -> Result<&SimMetrics> {
+        (topology == self.metrics.topology())
+            .then_some(&self.metrics)
+            .ok_or_else(|| CoreError::Unknown(format!("topology {topology:?}")))
+    }
 }
 
 impl MetricsProvider for SimMetricsProvider {
@@ -110,11 +115,8 @@ impl MetricsProvider for SimMetricsProvider {
         from: i64,
         to: i64,
     ) -> Result<Vec<Sample>> {
-        if topology != self.metrics.topology() {
-            return Err(CoreError::Unknown(format!("topology {topology:?}")));
-        }
         Ok(self
-            .metrics
+            .lookup(topology)?
             .component_sum(metric_name, Some(component), from, to))
     }
 
@@ -126,24 +128,14 @@ impl MetricsProvider for SimMetricsProvider {
         from: i64,
         to: i64,
     ) -> Result<Vec<(u32, Vec<Sample>)>> {
-        if topology != self.metrics.topology() {
-            return Err(CoreError::Unknown(format!("topology {topology:?}")));
-        }
-        Ok(self.metrics.per_instance(metric_name, component, from, to))
+        Ok(self
+            .lookup(topology)?
+            .per_instance(metric_name, component, from, to))
     }
 
-    fn latest_minute(&self, topology: &str) -> Option<i64> {
-        if topology != self.metrics.topology() {
-            return None;
-        }
-        // O(1) off the per-db watermark — no catalog scan, no series
-        // locks. All simulator metrics for a minute land in one batch, so
-        // the watermark is exactly the newest flushed minute.
-        self.metrics.db().watermark()
-    }
-
-    fn truncation_generation(&self) -> Option<u64> {
-        Some(self.metrics.db().truncation_generation())
+    fn data_version(&self, topology: &str) -> Option<DataVersion> {
+        // O(1) off the per-db counters — no catalog scan, no series locks.
+        self.lookup(topology).ok()?.db().data_version()
     }
 
     fn ingest_stats(&self) -> Option<IngestStats> {
@@ -166,15 +158,13 @@ impl MetricsProvider for SimMetricsProvider {
         from: i64,
         to: i64,
     ) -> Result<Vec<(caladrius_tsdb::SeriesKey, Vec<Sample>)>> {
-        if topology != self.metrics.topology() {
-            return Err(CoreError::Unknown(format!("topology {topology:?}")));
-        }
+        let metrics = self.lookup(topology)?;
         let mut scoped = vec![caladrius_tsdb::TagFilter::eq(
             heron_sim::metrics::tag::TOPOLOGY,
             topology,
         )];
         scoped.extend_from_slice(filters);
-        Ok(self.metrics.db().select(metric_name, &scoped, from, to)?)
+        Ok(metrics.db().select(metric_name, &scoped, from, to)?)
     }
 }
 

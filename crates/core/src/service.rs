@@ -19,9 +19,11 @@ use crate::providers::tracker::TopologyTracker;
 use crate::traffic::{TrafficForecast, TrafficModelRegistry};
 use caladrius_forecast::{DataPoint, Forecaster, UpdateOutcome};
 use caladrius_obs::{Counter, Histogram};
+use caladrius_tsdb::DataVersion;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How the evaluation picks the source rate to model against.
@@ -124,30 +126,42 @@ pub struct PlanCacheStats {
     pub evictions: u64,
 }
 
-/// One topology's fitted models plus the versions they were fitted
-/// against and the streaming sufficient statistics they were solved
-/// from. An entry is served verbatim while both versions still match:
+/// What every cached answer for one topology is valid for: the
+/// topology's metrics [`DataVersion`] and its tracker plan version
+/// ([`TopologyTracker::last_updated`]). [`Caladrius`] reads it once per
+/// request; the model and plan caches store it with each entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheStamp {
+    /// The metrics store's watermark and rewrite count.
+    pub data: DataVersion,
+    /// Packing-plan version; parallelism changes bump it.
+    pub plan_version: u64,
+}
+
+impl CacheStamp {
+    /// True when state built at `older` can absorb what changed since
+    /// incrementally: the plan is unchanged and the data only gained
+    /// samples past `older`'s watermark ([`DataVersion::extends`]).
+    pub fn extends(&self, older: &CacheStamp) -> bool {
+        self.plan_version == older.plan_version && self.data.extends(&older.data)
+    }
+}
+
+/// One topology's fitted models plus the [`CacheStamp`] they were
+/// fitted at and the streaming sufficient statistics they were solved
+/// from. An entry is served verbatim while the stamp is unchanged.
 ///
-/// * `watermark` — the metrics store's newest minute
-///   ([`MetricsProvider::latest_minute`]); any newly ingested minute
-///   moves it.
-/// * `plan_version` — [`TopologyTracker::last_updated`]; packing-plan or
-///   parallelism changes bump it, invalidating models fitted against the
-///   old physical plan.
-///
-/// A moved watermark alone no longer forces a from-scratch refit: the
+/// When the stamp only [extends](CacheStamp::extends) the entry's, the
 /// retained [`ComponentFitStats`]/[`CpuFitStats`] absorb just the
 /// `(watermark_old, watermark_new]` delta and re-solve in O(1) per
 /// model (the *Stale* path). The entry goes fully cold — full refit —
-/// when the plan version moved, the store truncated data out from under
-/// the fitted window (`truncation_gen` changed), or the anchored window
+/// when the plan version moved, the store rewrote history (out-of-order
+/// or duplicate samples, or a truncation), or the anchored window
 /// `[fitted_from, watermark]` grew past twice the configured training
 /// window (periodic re-anchoring keeps the expanding window from
 /// diverging unboundedly from the sliding batch window).
 struct CachedModels {
-    watermark: i64,
-    plan_version: u64,
-    truncation_gen: Option<u64>,
+    stamp: CacheStamp,
     /// Start of the window the sufficient statistics cover (the `from`
     /// of the original full fit — deltas expand the window rightwards).
     fitted_from: i64,
@@ -157,14 +171,15 @@ struct CachedModels {
     cpu_models: Arc<HashMap<String, CpuModel>>,
 }
 
-/// A fitted traffic forecaster kept warm across watermark advances.
-/// While the source history only grows, `Forecaster::update` absorbs the
+/// A fitted traffic forecaster and the [`DataVersion`] it was fitted
+/// at. It ignores the plan version, so a re-plan does not refit traffic
+/// models. While the data only extends, `Forecaster::update` absorbs the
 /// new tail instead of refitting over the whole window; `anchor` marks
 /// the first fitted timestamp so the expanding window is re-anchored
 /// (full refit) on the same 2× schedule as the performance models.
 struct CachedForecaster {
     model: Box<dyn Forecaster + Send>,
-    last_ts: i64,
+    version: DataVersion,
     anchor: i64,
 }
 
@@ -499,15 +514,25 @@ impl Caladrius {
         })
     }
 
-    /// The training window `[from, to]` ending at the newest recorded
-    /// minute.
-    fn window(&self, topology: &str) -> Result<(i64, i64)> {
-        let to = self
-            .metrics
-            .latest_minute(topology)
-            .ok_or_else(|| CoreError::Unknown(format!("no metrics for {topology:?}")))?;
+    /// The topology's metrics version; an error when it has no data.
+    fn data_version(&self, topology: &str) -> Result<DataVersion> {
+        self.metrics
+            .data_version(topology)
+            .ok_or_else(|| CoreError::Unknown(format!("no metrics for {topology:?}")))
+    }
+
+    /// The one read of what a request's cached answers are keyed on.
+    fn stamp(&self, topology: &str) -> Result<CacheStamp> {
+        Ok(CacheStamp {
+            data: self.data_version(topology)?,
+            plan_version: self.tracker.last_updated(topology)?,
+        })
+    }
+
+    /// The training window `[from, to]` ending at minute `to`.
+    fn window_ending(&self, to: i64) -> (i64, i64) {
         let from = to - i64::from(self.config.source_window_minutes - 1) * 60_000;
-        Ok((from, to))
+        (from, to)
     }
 
     /// Spout component names of a topology.
@@ -524,7 +549,12 @@ impl Caladrius {
 
     /// The topology's offered-load history over the training window.
     pub fn source_history(&self, topology: &str) -> Result<Vec<DataPoint>> {
-        let (from, to) = self.window(topology)?;
+        self.history_ending(topology, self.data_version(topology)?.watermark)
+    }
+
+    /// Offered-load history over the training window ending at `to`.
+    fn history_ending(&self, topology: &str, to: i64) -> Result<Vec<DataPoint>> {
+        let (from, to) = self.window_ending(to);
         source_history(
             self.metrics.as_ref(),
             topology,
@@ -545,6 +575,16 @@ impl Caladrius {
         topology: &str,
         models: Option<&[String]>,
     ) -> Result<Vec<TrafficForecast>> {
+        self.forecast_traffic_at(topology, models, self.data_version(topology)?)
+    }
+
+    /// [`Caladrius::forecast_traffic`] over the data at `version`.
+    fn forecast_traffic_at(
+        &self,
+        topology: &str,
+        models: Option<&[String]>,
+        version: DataVersion,
+    ) -> Result<Vec<TrafficForecast>> {
         let names: Vec<String> = match models {
             Some(names) => names.to_vec(),
             None => self.config.traffic_models.clone(),
@@ -555,76 +595,77 @@ impl Caladrius {
                 .map(|name| self.forecast_traffic_per_spout(topology, name))
                 .collect();
         }
-        let history = self.source_history(topology)?;
+        let history = self.history_ending(topology, version.watermark)?;
         let horizon = self.horizon_after(&history);
         names
             .iter()
-            .map(|name| self.forecast_cached(topology, name, &history, &horizon))
+            .map(|name| self.forecast_cached(topology, name, version, &history, &horizon))
             .collect()
     }
 
     /// Forecasts through the per-(topology, model) forecaster cache.
     ///
-    /// While the source history only gains new minutes, the cached
-    /// fitted forecaster absorbs just the tail via
-    /// [`Forecaster::update`] (streaming sufficient statistics) instead
-    /// of refitting over the whole window. Models that can't update
-    /// incrementally (Prophet) report
-    /// [`UpdateOutcome::FullRefitNeeded`] and are refitted. Like the
+    /// `history` is the training window ending at `version`'s watermark.
+    /// While the data only extends, the cached fitted forecaster absorbs
+    /// just the tail via [`Forecaster::update`] (streaming sufficient
+    /// statistics) instead of refitting over the whole window. Models
+    /// that can't update incrementally (Prophet) report
+    /// [`UpdateOutcome::FullRefitNeeded`] and are refitted, and so does
+    /// every model once the store rewrote history. Like the
     /// performance-model cache, the fitted window expands rightwards
     /// from its anchor and is re-anchored with a full refit once it
-    /// spans twice the configured training window. For a fixed
-    /// watermark the cached forecaster is left untouched, so repeated
-    /// forecasts stay deterministic — the invariant the plan cache's
-    /// watermark probe relies on.
+    /// spans twice the configured training window. For a fixed version
+    /// the cached forecaster is left untouched, so repeated forecasts
+    /// stay deterministic — the invariant the plan cache's probe relies
+    /// on.
     fn forecast_cached(
         &self,
         topology: &str,
         name: &str,
+        version: DataVersion,
         history: &[DataPoint],
         horizon: &[i64],
     ) -> Result<TrafficForecast> {
-        let Some(last_ts) = history.last().map(|p| p.ts) else {
+        let Some(first) = history.first() else {
             return self.traffic.forecast(name, history, horizon);
         };
         let key = (topology.to_string(), name.to_string());
         let reanchor_span = 2 * i64::from(self.config.source_window_minutes) * 60_000;
         // Taken out as a statement so the lock guard drops before the
         // update/predict work (and before the re-insert re-locks).
-        let cached = self.lock_forecasters().remove(&key);
+        let cached = self.forecaster_cache.lock().remove(&key);
         if let Some(mut entry) = cached {
-            if entry.last_ts == last_ts {
+            let current = if entry.version == version {
+                true
+            } else if version.extends(&entry.version)
+                && version.watermark - entry.anchor < reanchor_span
+            {
+                let since = entry.version.watermark;
+                let tail: Vec<DataPoint> =
+                    history.iter().filter(|p| p.ts > since).cloned().collect();
+                matches!(entry.model.update(&tail), Ok(UpdateOutcome::Incremental))
+            } else {
+                false
+            };
+            if current {
                 if let Ok(points) = entry.model.predict(horizon) {
-                    self.lock_forecasters().insert(key, entry);
+                    entry.version = version;
+                    self.forecaster_cache.lock().insert(key, entry);
                     return TrafficForecast::from_points(name, points);
                 }
-            } else if entry.last_ts < last_ts && last_ts - entry.anchor < reanchor_span {
-                let tail: Vec<DataPoint> = history
-                    .iter()
-                    .filter(|p| p.ts > entry.last_ts)
-                    .cloned()
-                    .collect();
-                if let Ok(UpdateOutcome::Incremental) = entry.model.update(&tail) {
-                    entry.last_ts = last_ts;
-                    if let Ok(points) = entry.model.predict(horizon) {
-                        self.lock_forecasters().insert(key, entry);
-                        return TrafficForecast::from_points(name, points);
-                    }
-                }
             }
-            // Shrunk/reset history, re-anchor due, update refused, or a
+            // Rewritten history, re-anchor due, update refused, or a
             // predict failure: fall through to a fresh fit.
         }
         let mut model = self.traffic.create(name)?;
         model.fit(history)?;
         let points = model.predict(horizon)?;
-        let anchor = history.first().map_or(last_ts, |p| p.ts);
-        self.lock_forecasters().insert(
+        self.forecaster_cache.lock().insert(
             key,
             CachedForecaster {
                 model,
-                last_ts,
-                anchor,
+                version,
+                anchor: first.ts,
             },
         );
         TrafficForecast::from_points(name, points)
@@ -648,7 +689,7 @@ impl Caladrius {
     ) -> Result<TrafficForecast> {
         use caladrius_forecast::ForecastPoint;
         use heron_sim::metrics::metric;
-        let (from, to) = self.window(topology)?;
+        let (from, to) = self.window_ending(self.data_version(topology)?.watermark);
         let mut combined: BTreeMap<i64, ForecastPoint> = BTreeMap::new();
         let mut fitted_any = false;
         for spout in self.spouts(topology)? {
@@ -705,7 +746,7 @@ impl Caladrius {
 
     /// Fits the full topology throughput model from the training window.
     pub fn fit_topology_model(&self, topology: &str) -> Result<TopologyModel> {
-        let (from, to) = self.window(topology)?;
+        let (from, to) = self.window_ending(self.data_version(topology)?.watermark);
         Ok(self.fit_topology_stats(topology, from, to)?.0)
     }
 
@@ -756,7 +797,7 @@ impl Caladrius {
     /// variance to regress on) are skipped rather than failing the whole
     /// report.
     pub fn fit_cpu_models(&self, topology: &str) -> Result<HashMap<String, CpuModel>> {
-        let (from, to) = self.window(topology)?;
+        let (from, to) = self.window_ending(self.data_version(topology)?.watermark);
         Ok(self.fit_cpu_stats(topology, from, to)?.0)
     }
 
@@ -811,21 +852,13 @@ impl Caladrius {
     }
 
     /// Builds a cold cache entry: full fits over the sliding training
-    /// window ending at `watermark`.
-    fn full_fit_entry(
-        &self,
-        topology: &str,
-        watermark: i64,
-        plan_version: u64,
-        truncation_gen: Option<u64>,
-    ) -> Result<CachedModels> {
-        let from = watermark - i64::from(self.config.source_window_minutes - 1) * 60_000;
-        let (topology_model, fit_stats) = self.fit_topology_stats(topology, from, watermark)?;
-        let (cpu_models, cpu_stats) = self.fit_cpu_stats(topology, from, watermark)?;
+    /// window ending at the stamp's watermark.
+    fn full_fit_entry(&self, topology: &str, stamp: CacheStamp) -> Result<CachedModels> {
+        let (from, to) = self.window_ending(stamp.data.watermark);
+        let (topology_model, fit_stats) = self.fit_topology_stats(topology, from, to)?;
+        let (cpu_models, cpu_stats) = self.fit_cpu_stats(topology, from, to)?;
         Ok(CachedModels {
-            watermark,
-            plan_version,
-            truncation_gen,
+            stamp,
             fitted_from: from,
             fit_stats,
             cpu_stats,
@@ -834,10 +867,10 @@ impl Caladrius {
         })
     }
 
-    /// The incremental (Stale) path: reads only the
-    /// `(entry.watermark, watermark]` delta through the range helpers
-    /// (whose newest-chunk reads ride the tsdb decoded-tail cache), pushes
-    /// it into the retained sufficient statistics, and re-solves every
+    /// The incremental (Stale) path: reads only the delta between the
+    /// entry's watermark and `stamp`'s through the range helpers (whose
+    /// newest-chunk reads ride the tsdb decoded-tail cache), pushes it
+    /// into the retained sufficient statistics, and re-solves every
     /// model in O(1) per model. Because batch fits stream through the
     /// same accumulators in the same order, the result is exactly what a
     /// batch fit over `[fitted_from, watermark]` would produce.
@@ -845,12 +878,13 @@ impl Caladrius {
         &self,
         topology: &str,
         mut entry: CachedModels,
-        watermark: i64,
+        stamp: CacheStamp,
     ) -> Result<CachedModels> {
         let logical = self.graphs.logical(self.tracker.as_ref(), topology)?;
         let spec = logical.spec.clone();
         let metrics = self.metrics.as_ref();
-        let from = entry.watermark.saturating_add(1);
+        let from = entry.stamp.data.watermark.saturating_add(1);
+        let watermark = stamp.data.watermark;
 
         let mut models = HashMap::new();
         for (name, parallelism, upstreams, _) in fit_jobs(&spec) {
@@ -894,36 +928,34 @@ impl Caladrius {
             }
         }
         entry.cpu_models = Arc::new(cpu_models);
-        entry.watermark = watermark;
+        entry.stamp = stamp;
         Ok(entry)
     }
 
-    /// Fitted models for `topology`, served from the watermark-keyed
+    /// Fitted models for `topology`, served from the [`CacheStamp`]-keyed
     /// cache. Three states:
     ///
-    /// * **Hit** — data watermark and packing plan both unchanged: the
-    ///   cached models are returned as-is.
-    /// * **Stale** — only the watermark advanced (and nothing was
-    ///   truncated, and the anchored window hasn't outgrown its 2×
-    ///   re-anchor bound): the delta is absorbed into the retained
-    ///   sufficient statistics ([`Caladrius::absorb_delta`]). Counted as
-    ///   a cache miss plus `incremental_fits`.
+    /// * **Hit** — the stamp is unchanged: the cached models are
+    ///   returned as-is.
+    /// * **Stale** — the stamp [extends](CacheStamp::extends) the
+    ///   entry's (only newer samples landed) and the anchored window
+    ///   hasn't outgrown its 2× re-anchor bound: the delta is absorbed
+    ///   into the retained sufficient statistics
+    ///   ([`Caladrius::absorb_delta`]). Counted as a cache miss plus
+    ///   `incremental_fits`.
     /// * **Cold** — anything else: full refit over the sliding window,
     ///   counted as a cache miss plus `full_fits`.
     pub fn fitted_models(&self, topology: &str) -> Result<FittedModels> {
-        let watermark = self
-            .metrics
-            .latest_minute(topology)
-            .ok_or_else(|| CoreError::Unknown(format!("no metrics for {topology:?}")))?;
-        let plan_version = self.tracker.last_updated(topology)?;
-        let truncation_gen = self.metrics.truncation_generation();
+        self.fitted_models_at(topology, self.stamp(topology)?)
+    }
+
+    /// [`Caladrius::fitted_models`] at an already-read stamp.
+    fn fitted_models_at(&self, topology: &str, stamp: CacheStamp) -> Result<FittedModels> {
         let reanchor_span = 2 * i64::from(self.config.source_window_minutes) * 60_000;
         let stale = {
-            let mut cache = self.lock_cache();
+            let mut cache = self.model_cache.lock();
             match cache.get(topology) {
-                Some(entry)
-                    if entry.watermark == watermark && entry.plan_version == plan_version =>
-                {
+                Some(entry) if entry.stamp == stamp => {
                     self.cache_hits.inc();
                     return Ok((
                         Arc::clone(&entry.topology_model),
@@ -931,10 +963,8 @@ impl Caladrius {
                     ));
                 }
                 Some(entry)
-                    if entry.plan_version == plan_version
-                        && entry.truncation_gen == truncation_gen
-                        && entry.watermark < watermark
-                        && watermark - entry.fitted_from < reanchor_span =>
+                    if stamp.extends(&entry.stamp)
+                        && stamp.data.watermark - entry.fitted_from < reanchor_span =>
                 {
                     cache.remove(topology)
                 }
@@ -946,7 +976,7 @@ impl Caladrius {
         span.field("topology", topology);
         let fit_started = Instant::now();
         let entry = match stale {
-            Some(entry) => match self.absorb_delta(topology, entry, watermark) {
+            Some(entry) => match self.absorb_delta(topology, entry, stamp) {
                 Ok(updated) => {
                     span.field("mode", "incremental");
                     updated
@@ -956,12 +986,12 @@ impl Caladrius {
                 // the cold path rather than serving a dubious model.
                 Err(_) => {
                     span.field("mode", "full");
-                    self.full_fit_entry(topology, watermark, plan_version, truncation_gen)?
+                    self.full_fit_entry(topology, stamp)?
                 }
             },
             None => {
                 span.field("mode", "full");
-                self.full_fit_entry(topology, watermark, plan_version, truncation_gen)?
+                self.full_fit_entry(topology, stamp)?
             }
         };
         self.fit_duration.record_duration(fit_started.elapsed());
@@ -969,28 +999,8 @@ impl Caladrius {
             Arc::clone(&entry.topology_model),
             Arc::clone(&entry.cpu_models),
         );
-        self.lock_cache().insert(topology.to_string(), entry);
+        self.model_cache.lock().insert(topology.to_string(), entry);
         Ok(result)
-    }
-
-    fn lock_cache(&self) -> std::sync::MutexGuard<'_, HashMap<String, CachedModels>> {
-        self.model_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn lock_forecasters(
-        &self,
-    ) -> std::sync::MutexGuard<'_, HashMap<(String, String), CachedForecaster>> {
-        self.forecaster_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn lock_plan_cache(&self) -> std::sync::MutexGuard<'_, crate::capacity::PlanCache> {
-        self.plan_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Resolves a requested traffic-model name against the configured
@@ -1043,14 +1053,10 @@ impl Caladrius {
         let model_name = self.resolve_traffic_model(request.traffic_model.as_deref())?;
         let request_key =
             crate::capacity::plan_request_key(&model_name, request.conservative, &request.planner);
-        let watermark = self
-            .metrics
-            .latest_minute(topology)
-            .ok_or_else(|| CoreError::Unknown(format!("no metrics for {topology:?}")))?;
-        let plan_version = self.tracker.last_updated(topology)?;
         let lookup = self
-            .lock_plan_cache()
-            .probe(topology, request_key, watermark, plan_version);
+            .plan_cache
+            .lock()
+            .probe(topology, request_key, self.stamp(topology)?);
         if matches!(lookup, crate::capacity::PlanCacheLookup::Hit(_)) {
             self.plan_cache_hits.inc();
         }
@@ -1063,7 +1069,7 @@ impl Caladrius {
     /// the service. Cached plan timelines for the same scope are dropped
     /// too: they were searched against the dropped models.
     pub fn invalidate_model_cache(&self, topology: Option<&str>) {
-        let mut cache = self.lock_cache();
+        let mut cache = self.model_cache.lock();
         match topology {
             Some(name) => {
                 cache.remove(name);
@@ -1072,13 +1078,13 @@ impl Caladrius {
         }
         drop(cache);
         // Cached fitted forecasters read the same provider: drop them too.
-        let mut forecasters = self.lock_forecasters();
+        let mut forecasters = self.forecaster_cache.lock();
         match topology {
             Some(name) => forecasters.retain(|(t, _), _| t != name),
             None => forecasters.clear(),
         }
         drop(forecasters);
-        self.lock_plan_cache().invalidate(topology);
+        self.plan_cache.lock().invalidate(topology);
     }
 
     fn resolve_source_rate(
@@ -1125,8 +1131,8 @@ impl Caladrius {
     }
 
     /// Runs the full dry-run evaluation: fit models from live metrics
-    /// (or reuse cached fits while the data watermark and packing plan
-    /// are unchanged), resolve the source rate, run every configured
+    /// (or reuse cached fits while the [`CacheStamp`] is unchanged),
+    /// resolve the source rate, run every configured
     /// performance model, classify backpressure risk and predict CPU
     /// loads.
     pub fn evaluate(
@@ -1256,7 +1262,7 @@ impl Caladrius {
     /// backpressure risk Low (with the request's CPU headroom) at each
     /// window's peak forecast rate. Returns the hysteresis-smoothed plan
     /// timeline with per-window scale actions; fitted models are served
-    /// from the watermark-keyed cache.
+    /// from the [`CacheStamp`]-keyed cache.
     ///
     /// Validate a returned timeline against the simulator with
     /// [`caladrius_planner::replay_timeline`].
@@ -1276,35 +1282,31 @@ impl Caladrius {
         request.planner.validate().map_err(CoreError::from)?;
 
         // Fast plan-cache probe before any model or forecast work: the
-        // forecast is a deterministic function of data at or below the
-        // metrics watermark, so matching (watermark, plan version)
-        // guarantees the cached timeline is what the search would
-        // reproduce.
+        // models and the forecast are deterministic functions of the data
+        // at one stamp, so a matching stamp guarantees the cached
+        // timeline is what the search would reproduce. The same stamp
+        // keys the fits and the forecast below.
         let model_name = self.resolve_traffic_model(request.traffic_model.as_deref())?;
         let request_key = plan_request_key(&model_name, request.conservative, &request.planner);
-        let watermark = self
-            .metrics
-            .latest_minute(topology)
-            .ok_or_else(|| CoreError::Unknown(format!("no metrics for {topology:?}")))?;
-        let plan_version = self.tracker.last_updated(topology)?;
-        let warm =
-            match self
-                .lock_plan_cache()
-                .probe(topology, request_key, watermark, plan_version)
-            {
-                PlanCacheLookup::Hit(timeline) => {
-                    self.plan_cache_hits.inc();
-                    span.field("plan_cache", "hit");
-                    self.plan_duration.record_duration(started.elapsed());
-                    return Ok(timeline);
-                }
-                PlanCacheLookup::Stale(previous) => Some(previous),
-                PlanCacheLookup::Absent => None,
-            };
+        let stamp = self.stamp(topology)?;
+        let warm = match self.plan_cache.lock().probe(topology, request_key, stamp) {
+            PlanCacheLookup::Hit(timeline) => {
+                self.plan_cache_hits.inc();
+                span.field("plan_cache", "hit");
+                self.plan_duration.record_duration(started.elapsed());
+                return Ok(timeline);
+            }
+            PlanCacheLookup::Stale(previous) => Some(previous),
+            PlanCacheLookup::Absent => None,
+        };
 
-        let (model, cpu_models) = self.fitted_models(topology)?;
+        let (model, cpu_models) = self.fitted_models_at(topology, stamp)?;
         let forecast = self
-            .forecast_traffic(topology, Some(std::slice::from_ref(&model_name)))?
+            .forecast_traffic_at(
+                topology,
+                Some(std::slice::from_ref(&model_name)),
+                stamp.data,
+            )?
             .pop()
             .expect("one model requested, one forecast returned");
         let windows = forecast_windows(
@@ -1313,11 +1315,12 @@ impl Caladrius {
             request.conservative,
         )?;
         // Authoritative identity check after the forecast actually ran:
-        // covers the quantized window rates on top of the versions the
-        // fast probe already compared.
-        let fingerprint = forecast_fingerprint(watermark, plan_version, &windows);
+        // covers the quantized window rates on top of the stamp the fast
+        // probe already compared.
+        let fingerprint = forecast_fingerprint(stamp, &windows);
         if let Some(timeline) = self
-            .lock_plan_cache()
+            .plan_cache
+            .lock()
             .confirm(topology, request_key, fingerprint)
         {
             self.plan_cache_hits.inc();
@@ -1367,11 +1370,10 @@ impl Caladrius {
         self.plans_run.inc();
         self.plan_evals.add(timeline.oracle_evals);
         span.field("oracle_evals", timeline.oracle_evals);
-        let evicted = self.lock_plan_cache().insert(
+        let evicted = self.plan_cache.lock().insert(
             topology,
             request_key,
-            watermark,
-            plan_version,
+            stamp,
             fingerprint,
             timeline.clone(),
         );

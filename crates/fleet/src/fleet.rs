@@ -700,6 +700,48 @@ mod tests {
     }
 
     #[test]
+    fn one_tenants_truncation_leaves_shard_mates_incremental() {
+        let fleet = fed_fleet(1, 2, UNLIMITED_CONTAINERS);
+        let request = CapacityPlanRequest::default();
+        let (truncated, steady) = ("tenant-0", "tenant-1");
+        let store = |name: &str| {
+            fleet
+                .assignments
+                .read()
+                .get(name)
+                .map(|(_, m)| m.clone())
+                .expect("registered")
+        };
+        fleet.plan_topology(steady, &request).unwrap();
+        let service = fleet.shards()[0].service();
+        let before = service.model_cache_stats();
+
+        // A retention pass on one tenant's store rewrites only that
+        // tenant's history.
+        let staged = staged();
+        let dropped = store(truncated)
+            .db()
+            .truncate_before(staged.minute_ts(10))
+            .unwrap();
+        assert!(dropped > 0);
+
+        // The shard-mate's next in-order minute is absorbed incrementally.
+        let mut batch = MetricBatch::new(0);
+        let span_ms = staged.minute_ts(staged.minutes() - 1) - staged.minute_ts(0) + 60_000;
+        staged
+            .bind(&store(steady))
+            .fill_at(staged, 0, span_ms, &mut batch);
+        fleet.ingest(steady, &batch).expect("registered");
+        fleet.plan_topology(steady, &request).unwrap();
+        let after = service.model_cache_stats();
+        assert_eq!(
+            after.full_fits, before.full_fits,
+            "another tenant's truncation must not force a full refit"
+        );
+        assert!(after.incremental_fits > before.incremental_fits);
+    }
+
+    #[test]
     fn fleet_plan_respects_the_cluster_budget() {
         let fleet = fed_fleet(2, 3, UNLIMITED_CONTAINERS);
         let request = CapacityPlanRequest::default();

@@ -4,10 +4,11 @@
 //! A fleet shard hosts many topologies behind one `Caladrius` instance.
 //! Two properties matter:
 //!
-//! * **Watermark isolation** — the service's model cache is keyed by
-//!   each topology's data watermark, so every topology gets its *own*
-//!   [`SimMetrics`] store (own `MetricsDb`, own watermark). One tenant's
-//!   ingest must not invalidate a shard-mate's cached models.
+//! * **Data-version isolation** — the service's caches are keyed by
+//!   each topology's [`caladrius_tsdb::DataVersion`], so every topology
+//!   gets its *own* [`SimMetrics`] store (own `MetricsDb`, own watermark
+//!   and rewrite count). One tenant's ingest or truncation must not
+//!   invalidate a shard-mate's cached models.
 //! * **Online registration** — topologies arrive while the service is
 //!   running, so both seams are interior-mutable behind `RwLock`s.
 
@@ -15,7 +16,7 @@ use caladrius_core::error::{CoreError, Result};
 use caladrius_core::providers::metrics::MetricsProvider;
 use caladrius_core::providers::tracker::{to_logical_spec, TopologyTracker};
 use caladrius_graph::topology_graph::LogicalSpec;
-use caladrius_tsdb::{IngestStats, Sample, SeriesKey, TagFilter};
+use caladrius_tsdb::{DataVersion, IngestStats, Sample, SeriesKey, TagFilter};
 use heron_sim::metrics::SimMetrics;
 use heron_sim::topology::Topology;
 use parking_lot::RwLock;
@@ -89,21 +90,8 @@ impl MetricsProvider for ShardMetricsProvider {
             .per_instance(metric_name, component, from, to))
     }
 
-    fn latest_minute(&self, topology: &str) -> Option<i64> {
-        self.metrics(topology)?.db().watermark()
-    }
-
-    fn truncation_generation(&self) -> Option<u64> {
-        // Sum over hosted stores: monotone, and any tenant's truncation
-        // bumps it. Coarser than per-topology tracking (one tenant's
-        // retention pass forces shard-mates to refit once), but safe.
-        let topologies = self.topologies.read();
-        Some(
-            topologies
-                .values()
-                .map(|m| m.db().truncation_generation())
-                .sum(),
-        )
+    fn data_version(&self, topology: &str) -> Option<DataVersion> {
+        self.metrics(topology)?.db().data_version()
     }
 
     fn ingest_stats(&self) -> Option<IngestStats> {

@@ -100,6 +100,28 @@ pub struct IngestStats {
     pub samples: u64,
 }
 
+/// One snapshot of what a store holds: an answer computed from the store
+/// at version `v` stays valid while the store reports `v`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct DataVersion {
+    /// Largest timestamp ever ingested (recomputed by truncation).
+    pub watermark: i64,
+    /// What the watermark cannot show: samples that landed at or before
+    /// their series' newest timestamp (out of order, or duplicates), plus
+    /// truncations that dropped data. Monotone.
+    pub rewrites: u64,
+}
+
+impl DataVersion {
+    /// True when the store only gained samples newer than `older`'s
+    /// watermark since `older` was taken: the watermark moved forward and
+    /// nothing was rewritten. A consumer holding state built at `older`
+    /// can then absorb just `(older.watermark, self.watermark]`.
+    pub fn extends(&self, older: &DataVersion) -> bool {
+        self.watermark > older.watermark && self.rewrites == older.rewrites
+    }
+}
+
 /// Decoded-tail cache counters, as exposed on the API health endpoint.
 ///
 /// Every range read that reaches a series' newest sealed chunk counts one
@@ -131,6 +153,9 @@ pub struct MetricsDb {
     /// series map lock by `truncate_before` so it never points at
     /// truncated data.
     watermark: AtomicI64,
+    /// [`DataVersion::rewrites`]. Writers bump it after the data lands
+    /// and before the watermark moves (see [`MetricsDb::data_version`]).
+    rewrites: AtomicU64,
     /// Ingest counters live in the process-wide obs registry, labelled
     /// with this db's instance id so [`MetricsDb::ingest_stats`] stays
     /// exact per database while one `/metrics/service` scrape sees every
@@ -141,10 +166,6 @@ pub struct MetricsDb {
     /// Newest-sealed-chunk lookups of every range read, hit or decoded.
     tail_cache_hits: Counter,
     tail_cache_misses: Counter,
-    /// Bumped by every [`MetricsDb::truncate_before`] call that dropped
-    /// data. Incremental consumers snapshot this to detect that history
-    /// they already absorbed was rewritten (and a full re-read is due).
-    truncations: AtomicU64,
     /// This db's `db` label value on its obs series.
     scope_id: String,
 }
@@ -178,12 +199,12 @@ impl Default for MetricsDb {
             catalog: RwLock::new(Catalog::default()),
             series: RwLock::new(HashMap::new()),
             watermark: AtomicI64::new(WATERMARK_NONE),
+            rewrites: AtomicU64::new(0),
             batches_ingested: registry.counter("caladrius_tsdb_ingest_batches_total", &labels),
             samples_ingested: registry.counter("caladrius_tsdb_ingest_samples_total", &labels),
             batch_size: registry.histogram("caladrius_tsdb_ingest_batch_size", &labels),
             tail_cache_hits: registry.counter("caladrius_tsdb_tail_cache_hits_total", &labels),
             tail_cache_misses: registry.counter("caladrius_tsdb_tail_cache_misses_total", &labels),
-            truncations: AtomicU64::new(0),
             scope_id: db_id,
         }
     }
@@ -238,9 +259,7 @@ impl MetricsDb {
     /// Appends one sample through an interned handle — the lock-minimal
     /// steady-state write path.
     pub fn append(&self, handle: &SeriesHandle, ts: i64, value: f64) {
-        handle.series.write().push(Sample::new(ts, value));
-        self.watermark.fetch_max(ts, Ordering::AcqRel);
-        self.samples_ingested.inc();
+        self.commit(handle, [Sample::new(ts, value)]);
     }
 
     /// Ingests a columnar batch: every row appends under only its
@@ -251,10 +270,11 @@ impl MetricsDb {
             return;
         }
         let ts = batch.ts;
+        let mut rewrites = 0;
         for (handle, value) in &batch.rows {
-            handle.series.write().push(Sample::new(ts, *value));
+            rewrites += u64::from(handle.series.write().push(Sample::new(ts, *value)));
         }
-        self.watermark.fetch_max(ts, Ordering::AcqRel);
+        self.publish(ts, rewrites);
         self.batches_ingested.inc();
         self.samples_ingested.add(batch.rows.len() as u64);
         self.batch_size.record(batch.rows.len() as f64);
@@ -272,16 +292,8 @@ impl MetricsDb {
         if samples.is_empty() {
             return;
         }
-        let mut series = handle.series.write();
-        let mut max_ts = WATERMARK_NONE;
-        for s in samples {
-            max_ts = max_ts.max(s.ts);
-            series.push(*s);
-        }
-        drop(series);
-        self.watermark.fetch_max(max_ts, Ordering::AcqRel);
+        self.commit(handle, samples.iter().copied());
         self.batches_ingested.inc();
-        self.samples_ingested.add(samples.len() as u64);
         self.batch_size.record(samples.len() as f64);
     }
 
@@ -292,6 +304,22 @@ impl MetricsDb {
             WATERMARK_NONE => None,
             ts => Some(ts),
         }
+    }
+
+    /// The store's [`DataVersion`], `None` while empty. O(1).
+    ///
+    /// The watermark is read before the rewrite counter, and writers
+    /// publish in the opposite order after their data lands. A write
+    /// racing this read can therefore only make the version look older
+    /// than the data a caller reads next, never newer: a cache entry
+    /// stamped with it is at worst refreshed once more than needed.
+    pub fn data_version(&self) -> Option<DataVersion> {
+        let watermark = self.watermark()?;
+        let rewrites = self.rewrites.load(Ordering::Acquire);
+        Some(DataVersion {
+            watermark,
+            rewrites,
+        })
     }
 
     /// Ingestion counters since the database was created.
@@ -313,20 +341,32 @@ impl MetricsDb {
     /// Writes many samples for one series, cheaper than repeated
     /// [`MetricsDb::write`] because the series is resolved once.
     pub fn write_batch(&self, key: &SeriesKey, samples: impl IntoIterator<Item = Sample>) {
-        let handle = self.register(key);
+        self.commit(&self.register(key), samples);
+    }
+
+    /// Pushes `samples` in order under one acquisition of the series
+    /// lock, then publishes them and counts them as ingested.
+    fn commit(&self, handle: &SeriesHandle, samples: impl IntoIterator<Item = Sample>) {
         let mut series = handle.series.write();
-        let mut count = 0u64;
-        let mut max_ts = WATERMARK_NONE;
+        let (mut count, mut max_ts, mut rewrites) = (0, WATERMARK_NONE, 0);
         for s in samples {
-            max_ts = max_ts.max(s.ts);
-            series.push(s);
             count += 1;
+            max_ts = max_ts.max(s.ts);
+            rewrites += u64::from(series.push(s));
         }
         drop(series);
-        if count > 0 {
-            self.watermark.fetch_max(max_ts, Ordering::AcqRel);
-            self.samples_ingested.add(count);
+        self.publish(max_ts, rewrites);
+        self.samples_ingested.add(count);
+    }
+
+    /// Publishes writes that already landed: rewrites first, then the
+    /// watermark, so a reader that sees the new watermark also sees the
+    /// rewrites that preceded it.
+    fn publish(&self, max_ts: i64, rewrites: u64) {
+        if rewrites > 0 {
+            self.rewrites.fetch_add(rewrites, Ordering::Release);
         }
+        self.watermark.fetch_max(max_ts, Ordering::AcqRel);
     }
 
     /// Reads one series' samples in `[from, to]`, or an error if the exact
@@ -391,13 +431,6 @@ impl MetricsDb {
             hits: self.tail_cache_hits.get(),
             misses: self.tail_cache_misses.get(),
         }
-    }
-
-    /// Number of retention truncations that actually dropped samples.
-    /// Incremental consumers compare snapshots of this to detect that
-    /// already-absorbed history was rewritten and a full re-read is due.
-    pub fn truncation_generation(&self) -> u64 {
-        self.truncations.load(Ordering::Acquire)
     }
 
     fn note_tail_read(&self, stats: TailReadStats) {
@@ -538,10 +571,10 @@ impl MetricsDb {
                 surviving_max = surviving_max.max(ts);
             }
         }
-        self.watermark.store(surviving_max, Ordering::Release);
         if dropped > 0 {
-            self.truncations.fetch_add(1, Ordering::AcqRel);
+            self.rewrites.fetch_add(1, Ordering::Release);
         }
+        self.watermark.store(surviving_max, Ordering::Release);
         Ok(dropped)
     }
 }
@@ -983,19 +1016,5 @@ mod tests {
         // A pure head read touches no sealed chunk at all.
         assert_eq!(db.read(&k, 398 * 60_000 + 1, i64::MAX).unwrap().len(), 1);
         assert_eq!(db.tail_cache_stats(), second);
-    }
-
-    #[test]
-    fn truncation_generation_advances_only_when_data_drops() {
-        let db = MetricsDb::new();
-        let handle = db.register(&key("splitter", 0));
-        for i in 0..100i64 {
-            db.append(&handle, i * 60_000, i as f64);
-        }
-        assert_eq!(db.truncation_generation(), 0);
-        db.truncate_before(0).unwrap(); // nothing older than 0
-        assert_eq!(db.truncation_generation(), 0);
-        db.truncate_before(50 * 60_000).unwrap();
-        assert_eq!(db.truncation_generation(), 1);
     }
 }

@@ -50,7 +50,7 @@ pub mod retention;
 pub mod series;
 
 pub use catalog::{Catalog, SeriesId};
-pub use db::{IngestStats, MetricBatch, MetricsDb, SeriesHandle, TailCacheStats};
+pub use db::{DataVersion, IngestStats, MetricBatch, MetricsDb, SeriesHandle, TailCacheStats};
 pub use error::{Error, Result};
 pub use query::{Aggregation, TagFilter};
 pub use series::{Sample, Series, SeriesKey, TailReadStats};

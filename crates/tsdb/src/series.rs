@@ -92,8 +92,8 @@ pub struct TailReadStats {
     pub cache_misses: u64,
 }
 
-/// Cache of the decoded newest sealed chunk, keyed by the series
-/// truncation generation and the chunk's index.
+/// Cache of the decoded newest sealed chunk, keyed by the chunk's index
+/// and cleared by truncation (which rewrites chunks).
 ///
 /// A read of recent history (an incremental fit's delta, a trailing
 /// window) always ends in the newest sealed chunk, and between two
@@ -102,8 +102,8 @@ pub struct TailReadStats {
 /// instead of a Gorilla bitstream walk.
 #[derive(Debug, Default)]
 struct TailCache {
-    /// `(generation, chunk index)` the decode belongs to.
-    key: Option<(u64, usize)>,
+    /// Index of the chunk the decode belongs to.
+    key: Option<usize>,
     samples: Vec<Sample>,
 }
 
@@ -119,9 +119,8 @@ pub struct Series {
     chunks: Vec<Chunk>,
     head: Vec<Sample>,
     chunk_size: usize,
-    /// Bumped whenever sealed chunks are rewritten (truncation); cached
-    /// decodes from older generations are unusable.
-    generation: u64,
+    /// Newest stored timestamp, sealed or not.
+    newest: Option<i64>,
     tail_cache: Mutex<TailCache>,
 }
 
@@ -131,7 +130,7 @@ impl Clone for Series {
             chunks: self.chunks.clone(),
             head: self.head.clone(),
             chunk_size: self.chunk_size,
-            generation: self.generation,
+            newest: self.newest,
             // The decoded-tail cache is an ephemeral accelerator; clones
             // start cold.
             tail_cache: Mutex::new(TailCache::default()),
@@ -157,16 +156,9 @@ impl Series {
             chunks: Vec::new(),
             head: Vec::new(),
             chunk_size: chunk_size.max(2),
-            generation: 0,
+            newest: None,
             tail_cache: Mutex::new(TailCache::default()),
         }
-    }
-
-    /// Truncation generation: incremented whenever sealed data is
-    /// rewritten, so callers holding incremental state can detect that
-    /// history they already consumed may have changed underneath them.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Total number of stored samples.
@@ -192,8 +184,14 @@ impl Series {
             + self.head.len() * std::mem::size_of::<Sample>()
     }
 
-    /// Appends one sample, keeping the head sorted by timestamp.
-    pub fn push(&mut self, sample: Sample) {
+    /// Appends one sample, keeping the head sorted by timestamp. Returns
+    /// true when the sample rewrites history: it lands at or before the
+    /// series' newest stored timestamp (out of order, or a duplicate).
+    pub fn push(&mut self, sample: Sample) -> bool {
+        let rewrite = self.newest.is_some_and(|newest| sample.ts <= newest);
+        if !rewrite {
+            self.newest = Some(sample.ts);
+        }
         match self.head.last() {
             Some(last) if sample.ts < last.ts => {
                 let idx = self.head.partition_point(|s| s.ts <= sample.ts);
@@ -204,6 +202,7 @@ impl Series {
         if self.head.len() >= self.chunk_size {
             self.seal_head();
         }
+        rewrite
     }
 
     /// Seals the current head into a compressed chunk.
@@ -246,9 +245,9 @@ impl Series {
             }
             if idx == last_idx {
                 let mut cache = self.tail_cache.lock();
-                if cache.key != Some((self.generation, idx)) {
+                if cache.key != Some(idx) {
                     cache.samples = encoding::decompress(&chunk.block)?;
-                    cache.key = Some((self.generation, idx));
+                    cache.key = Some(idx);
                     stats.cache_misses += 1;
                 } else {
                     stats.cache_hits += 1;
@@ -273,9 +272,7 @@ impl Series {
 
     /// Timestamp of the most recent sample, if any.
     pub fn latest_ts(&self) -> Option<i64> {
-        let head = self.head.last().map(|s| s.ts);
-        let chunk = self.chunks.iter().map(|c| c.end).max();
-        head.into_iter().chain(chunk).max()
+        self.newest
     }
 
     /// Drops every sample with `ts < cutoff`. Chunks straddling the cutoff
@@ -305,9 +302,10 @@ impl Series {
         }
         self.chunks = kept;
         self.head.retain(|s| s.ts >= cutoff);
-        // Chunk indices shifted: cached decodes and any incremental
-        // consumer state are no longer trustworthy.
-        self.generation += 1;
+        // The newest sample survives unless everything was dropped.
+        self.newest = self.newest.filter(|&ts| ts >= cutoff);
+        // Chunk indices shifted: the cached decode is no longer valid.
+        self.tail_cache.get_mut().key = None;
         Ok(before - self.len())
     }
 }
@@ -460,14 +458,12 @@ mod tests {
     }
 
     #[test]
-    fn truncation_bumps_generation_and_invalidates_cache() {
+    fn truncation_invalidates_cache() {
         let mut s = filled(100);
-        let g0 = s.generation();
         let (_, first) = read_from(&s, 90 * 60_000);
         assert_eq!(first.cache_misses, 1);
         s.truncate_before(50 * 60_000).unwrap();
-        assert_eq!(s.generation(), g0 + 1);
-        // Cache key carries the old generation: the next read re-decodes.
+        // Truncation cleared the cache: the next read re-decodes.
         let (tail, after) = read_from(&s, 91 * 60_000);
         assert_eq!(after.cache_hits, 0);
         assert_eq!(after.cache_misses, 1);

@@ -1,10 +1,10 @@
 //! Property tests for the storage layer: compression round-trips,
-//! series/query invariants and decoded-tail cache transparency over
-//! arbitrary inputs.
+//! series/query invariants, decoded-tail cache transparency and the
+//! data-version rewrite counter over arbitrary inputs.
 
 use caladrius_tsdb::encoding::{compress, decompress};
 use caladrius_tsdb::query::{bucketed, Aggregation};
-use caladrius_tsdb::{Sample, Series};
+use caladrius_tsdb::{MetricBatch, MetricsDb, Sample, Series, SeriesKey};
 use proptest::prelude::*;
 
 fn arb_samples() -> impl Strategy<Value = Vec<Sample>> {
@@ -90,7 +90,125 @@ impl Layout {
     }
 }
 
+/// Newest timestamp of each mirrored series, for the rewrite contract.
+fn is_rewrite(newest: &[Option<i64>], series: usize, ts: i64) -> bool {
+    newest[series].is_some_and(|n| ts <= n)
+}
+
 proptest! {
+    /// `Series::push` reports a rewrite exactly when the sample lands at
+    /// or before the series' newest timestamp, wherever that sample sits:
+    /// in the head, in the newest sealed chunk, or in an older chunk.
+    #[test]
+    fn push_reports_rewrites_across_seals(
+        schedule in arb_schedule(),
+        chunk_size in 2usize..24,
+    ) {
+        let mut series = Series::with_chunk_size(chunk_size);
+        let mut newest = [None];
+        let mut clock = 0i64;
+        for (op, _, _) in schedule {
+            let ts = match op {
+                Op::Push { gap, .. } => { clock += gap; clock }
+                Op::Late { back, .. } => clock - back,
+                Op::Seal => { series.seal_head(); continue; }
+                Op::Truncate { frac } => {
+                    let cutoff = (clock as f64 * frac) as i64;
+                    series.truncate_before(cutoff).unwrap();
+                    newest[0] = newest[0].filter(|&n| n >= cutoff);
+                    continue;
+                }
+            };
+            let want = is_rewrite(&newest, 0, ts);
+            prop_assert_eq!(series.push(Sample::new(ts, 1.0)), want, "push at {}", ts);
+            newest[0] = newest[0].max(Some(ts));
+            prop_assert_eq!(series.latest_ts(), newest[0]);
+        }
+    }
+
+    /// `MetricsDb`'s rewrite counter moves exactly when a write lands at
+    /// or before its series' newest timestamp, or a truncation drops
+    /// samples, through every ingest path: `append`, `ingest_batch` rows
+    /// and `append_series` columns (the simulator's commit path).
+    /// In-order writes never move it.
+    #[test]
+    fn rewrite_counter_moves_exactly_on_rewrites(schedule in arb_schedule()) {
+        let db = MetricsDb::new();
+        let handles: Vec<_> = (0..3)
+            .map(|i| db.register(&SeriesKey::new("m").with_tag("i", i.to_string())))
+            .collect();
+        // Writes `column` to series `which` through the ingest path
+        // `pick` selects (a batch carries one row per sample).
+        let write = |which: usize, column: &[Sample], pick: f64| {
+            if pick < 0.3 {
+                for s in column {
+                    db.append(&handles[which], s.ts, s.value);
+                }
+            } else if pick < 0.6 {
+                for s in column {
+                    let mut batch = MetricBatch::new(s.ts);
+                    batch.push(&handles[which], s.value);
+                    db.ingest_batch(&batch);
+                }
+            } else {
+                db.append_series(&handles[which], column);
+            }
+        };
+        let mut stored: Vec<Vec<i64>> = vec![Vec::new(); 3];
+        let mut clock = 0i64;
+        // One per rewriting sample, one per truncation that drops data.
+        let mut rewrites = 0u64;
+        for (op, which, pick) in schedule {
+            let which = usize::from(which);
+            let newest: Vec<Option<i64>> =
+                stored.iter().map(|s| s.iter().copied().max()).collect();
+            match op {
+                Op::Push { gap, .. } if pick < 0.2 => {
+                    // One batch at a fresh timestamp with a row per series.
+                    clock += gap;
+                    let mut batch = MetricBatch::new(clock);
+                    for (h, s) in handles.iter().zip(&mut stored) {
+                        batch.push(h, 1.0);
+                        s.push(clock);
+                    }
+                    db.ingest_batch(&batch);
+                }
+                Op::Push { gap, .. } => {
+                    let column: Vec<Sample> =
+                        (1..=3).map(|k| Sample::new(clock + k * gap, 1.0)).collect();
+                    clock += 3 * gap;
+                    write(which, &column, pick);
+                    stored[which].extend(column.iter().map(|s| s.ts));
+                }
+                Op::Late { back, value } => {
+                    // Negative values duplicate the series' newest sample;
+                    // the second sample duplicates the first.
+                    let ts = if value < 0.0 { newest[which].unwrap_or(0) } else { clock - back };
+                    write(which, &[Sample::new(ts, 1.0), Sample::new(ts, 2.0)], pick);
+                    stored[which].extend([ts, ts]);
+                    rewrites += u64::from(is_rewrite(&newest, which, ts)) + 1;
+                }
+                Op::Seal => continue,
+                Op::Truncate { frac } => {
+                    let cutoff = (clock as f64 * frac) as i64;
+                    let dropped = db.truncate_before(cutoff).unwrap();
+                    let want: usize = stored.iter().map(|s| s.iter().filter(|&&t| t < cutoff).count()).sum();
+                    prop_assert_eq!(dropped, want);
+                    for s in &mut stored {
+                        s.retain(|&t| t >= cutoff);
+                    }
+                    rewrites += u64::from(dropped > 0);
+                }
+            }
+            let version = db.data_version();
+            let watermark = stored.iter().flatten().copied().max();
+            prop_assert_eq!(version.map(|v| v.watermark), watermark);
+            if let Some(version) = version {
+                prop_assert_eq!(version.rewrites, rewrites, "after {:?}", op);
+            }
+        }
+    }
+
     /// A range read served through a warm decoded-tail cache returns
     /// bit-for-bit what the same read returns on a cold clone, whether
     /// `from` lies before, inside or after the newest sealed chunk.

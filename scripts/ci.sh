@@ -45,14 +45,18 @@ CALADRIUS_THREADS=1 cargo test -q --test sim_kernel_equivalence
 
 # The fleet e2e fans out cluster planning across the "fleet-plan" pool;
 # the single-thread run proves the fleet tier's answers (grants, shard
-# routing, shed decisions) do not depend on parallel scheduling.
+# routing, shed decisions) do not depend on parallel scheduling. The
+# fleet unit suite carries per-tenant data-version isolation (one
+# tenant's truncation leaves shard-mates on the incremental path).
 echo "==> CALADRIUS_THREADS=1 fleet tier e2e"
 CALADRIUS_THREADS=1 cargo test -q --test fleet_scale
+CALADRIUS_THREADS=1 cargo test -q -p caladrius-fleet --lib
 
 # Incremental replanning: the plan-cache suite proves cache hits are
 # bit-identical with zero new searches and that every staleness edge
-# (watermark, plan version, ResourceLimits) invalidates; the planner
-# package carries the warm-start == cold-search equivalence proptests.
+# (watermark, plan version, ResourceLimits, late samples below the
+# watermark, truncation) invalidates; the planner package carries the
+# warm-start == cold-search equivalence proptests.
 echo "==> CALADRIUS_THREADS=1 plan cache + warm-start equivalence"
 CALADRIUS_THREADS=1 cargo test -q --test plan_cache
 CALADRIUS_THREADS=1 cargo test -q -p caladrius-planner

@@ -1,7 +1,9 @@
 //! Plan-cache acceptance: unchanged data serves bit-identical cached
 //! timelines with zero new searches; new ingest past the watermark, a
-//! tracker plan bump, or changed `ResourceLimits` each invalidate; and
-//! the warm-started search matches the cold one on the fitted models.
+//! tracker plan bump, changed `ResourceLimits`, late minutes landing
+//! below the watermark, or a truncation inside the training window each
+//! invalidate; and the warm-started search matches the cold one on the
+//! fitted models.
 //!
 //! Runs under `CALADRIUS_THREADS=1` in CI — every assertion here is
 //! deterministic.
@@ -23,22 +25,28 @@ const PARALLELISM: WordCountParallelism = WordCountParallelism {
     counter: 3,
 };
 
+/// Records one rate leg: 30 warm-up minutes from `start`, then 10
+/// recorded minutes.
+fn run_leg(metrics: &SimMetrics, start: u64, rate: f64) {
+    let mut sim = Simulation::new(
+        wordcount_topology(PARALLELISM, rate),
+        SimConfig {
+            metric_noise: 0.0,
+            ..SimConfig::default()
+        },
+    )
+    .unwrap();
+    sim.skip_to_minute(start);
+    sim.warmup_minutes(30);
+    sim.run_minutes_into(10, metrics);
+}
+
 /// Sweeps the topology through several rate legs so the fitted models
 /// see both slopes and knees (same recipe as the capacity_plan suite).
 fn sweep(rates: &[f64]) -> SimMetrics {
     let metrics = SimMetrics::new("wordcount");
     for (leg, rate) in rates.iter().enumerate() {
-        let mut sim = Simulation::new(
-            wordcount_topology(PARALLELISM, *rate),
-            SimConfig {
-                metric_noise: 0.0,
-                ..SimConfig::default()
-            },
-        )
-        .unwrap();
-        sim.skip_to_minute(leg as u64 * 100);
-        sim.warmup_minutes(30);
-        sim.run_minutes_into(10, &metrics);
+        run_leg(&metrics, leg as u64 * 100, *rate);
     }
     metrics
 }
@@ -198,6 +206,162 @@ fn changed_resource_limits_are_a_distinct_cache_entry() {
         bounded
     );
     assert_eq!(caladrius.plan_cache_stats().hits, 2);
+}
+
+/// Lands a leg at a saturating rate inside the training window but
+/// below the watermark: ten late minutes in the gap between the last
+/// two sweep legs. The watermark does not move.
+fn land_late_saturating_leg(caladrius: &Caladrius, metrics: &SimMetrics) {
+    let provider = caladrius.metrics_provider();
+    let watermark = provider.latest_minute("wordcount").unwrap();
+    let window_start = watermark - i64::from(caladrius.config().source_window_minutes) * 60_000;
+    let minutes_in_window = || {
+        provider
+            .component_series(
+                "wordcount",
+                "splitter",
+                "execute-count",
+                window_start,
+                watermark,
+            )
+            .unwrap()
+            .len()
+    };
+    let before = minutes_in_window();
+    run_leg(metrics, 440, 60.0e6);
+    assert_eq!(provider.latest_minute("wordcount"), Some(watermark));
+    assert_eq!(
+        minutes_in_window(),
+        before + 10,
+        "the late leg is in the window"
+    );
+}
+
+/// A service that has never cached anything, over the same store and
+/// cluster.
+fn fresh_twin(metrics: &SimMetrics, cluster: &Arc<RwLock<Cluster>>) -> Caladrius {
+    Caladrius::new(
+        Arc::new(SimMetricsProvider::new(metrics.clone())),
+        Arc::new(ClusterTracker::new(Arc::clone(cluster))),
+    )
+}
+
+/// Asserts `a` and `b` fitted identical performance and CPU models.
+fn assert_same_models(a: &Caladrius, b: &Caladrius) {
+    let (model_a, cpu_a) = a.fitted_models("wordcount").unwrap();
+    let (model_b, cpu_b) = b.fitted_models("wordcount").unwrap();
+    for name in ["splitter", "counter"] {
+        assert_eq!(
+            model_a.component_model(name),
+            model_b.component_model(name),
+            "{name} model"
+        );
+    }
+    assert_eq!(*cpu_a, *cpu_b, "cpu models");
+}
+
+#[test]
+fn late_minutes_below_the_watermark_invalidate_every_cache() {
+    let (caladrius, metrics, cluster) = service();
+    let request = CapacityPlanRequest::default();
+    let models = ["stats_summary".to_string()];
+    caladrius.fitted_models("wordcount").unwrap();
+    caladrius
+        .forecast_traffic("wordcount", Some(&models))
+        .unwrap();
+    caladrius.plan_capacity("wordcount", &request).unwrap();
+
+    land_late_saturating_leg(&caladrius, &metrics);
+    let fresh = fresh_twin(&metrics, &cluster);
+    let (splitter, _) = fresh.fitted_models("wordcount").unwrap();
+    assert!(
+        splitter
+            .component_model("splitter")
+            .unwrap()
+            .instance
+            .saturation
+            .is_some(),
+        "the late leg saturates the splitter"
+    );
+
+    // The same service must answer what a service that never cached
+    // anything answers over the same store.
+    assert_same_models(&caladrius, &fresh);
+    assert_eq!(
+        caladrius
+            .forecast_traffic("wordcount", Some(&models))
+            .unwrap(),
+        fresh.forecast_traffic("wordcount", Some(&models)).unwrap()
+    );
+    // The re-plan warm-starts from the stale timeline, so only its
+    // search cost may differ from the cold plan.
+    let replanned = caladrius.plan_capacity("wordcount", &request).unwrap();
+    let cold = fresh.plan_capacity("wordcount", &request).unwrap();
+    assert_eq!(replanned.windows, cold.windows);
+    assert_eq!(replanned.peak_parallelisms, cold.peak_parallelisms);
+    assert_eq!(caladrius.plan_cache_stats().hits, 0);
+}
+
+#[test]
+fn late_minutes_then_a_fresh_minute_refit_in_full() {
+    let (caladrius, metrics, cluster) = service();
+    caladrius.fitted_models("wordcount").unwrap();
+    let before = caladrius.model_cache_stats();
+
+    // The late leg rewrites history; the fresh minute then moves the
+    // watermark. Absorbing only the fresh minute would miss the late
+    // ones, so the refit must be a full one.
+    land_late_saturating_leg(&caladrius, &metrics);
+    let watermark = caladrius
+        .metrics_provider()
+        .latest_minute("wordcount")
+        .unwrap();
+    ingest_fresh_minutes(&metrics, watermark as u64 / 60_000 + 1, 1);
+
+    let fresh = fresh_twin(&metrics, &cluster);
+    assert_same_models(&caladrius, &fresh);
+    let after = caladrius.model_cache_stats();
+    assert_eq!(
+        after.incremental_fits, before.incremental_fits,
+        "rewritten history must not be patched incrementally"
+    );
+    assert!(after.full_fits > before.full_fits, "expected a full refit");
+}
+
+#[test]
+fn truncation_inside_the_window_invalidates() {
+    let (caladrius, metrics, cluster) = service();
+    let request = CapacityPlanRequest::default();
+    caladrius.plan_capacity("wordcount", &request).unwrap();
+
+    // Retention drops the older legs of the training window; the newest
+    // leg survives, so the watermark stays where it was.
+    let watermark = caladrius
+        .metrics_provider()
+        .latest_minute("wordcount")
+        .unwrap();
+    assert!(
+        metrics
+            .db()
+            .truncate_before(watermark - 60 * 60_000)
+            .unwrap()
+            > 0
+    );
+    assert_eq!(
+        caladrius.metrics_provider().latest_minute("wordcount"),
+        Some(watermark)
+    );
+
+    let replanned = caladrius.plan_capacity("wordcount", &request).unwrap();
+    assert_eq!(
+        caladrius.model_cache_stats().plans,
+        2,
+        "truncation must force a new search"
+    );
+    let cold = fresh_twin(&metrics, &cluster)
+        .plan_capacity("wordcount", &request)
+        .unwrap();
+    assert_eq!(replanned.windows, cold.windows);
 }
 
 #[test]
