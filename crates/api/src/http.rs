@@ -3,14 +3,15 @@
 //! The server parses one request per connection (`Connection: close`
 //! semantics), dispatches it to a handler on a crossbeam-fed worker pool
 //! ("an asynchronous API allows the server side calculation pipelines to
-//! run concurrently", paper §III-A) and writes the response. No external
-//! web framework is on the offline dependency allow-list, so this is a
-//! deliberately small, well-tested implementation.
+//! run concurrently", paper §III-A) and writes the response. The accept
+//! thread blocks in `accept`; shutdown wakes it with one connection. No
+//! external web framework is on the offline dependency allow-list, so
+//! this is a deliberately small, well-tested implementation.
 
 use crossbeam::channel::{unbounded, Sender};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -163,7 +164,6 @@ impl HttpServer {
     ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
 
         let (tx, rx) = unbounded::<TcpStream>();
@@ -194,13 +194,27 @@ impl HttpServer {
         self.addr
     }
 
-    /// Stops accepting connections and joins the accept thread.
+    /// Stops accepting connections and joins the accept thread, waking
+    /// its blocked `accept` with one connection to the bound address.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept_thread.take() {
+            let _ = TcpStream::connect(wake_addr(self.addr));
             let _ = handle.join();
         }
     }
+}
+
+/// The address that reaches a listener bound to `addr`: a wildcard bind
+/// (`0.0.0.0`, `::`) is reached through the loopback of its family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 impl Drop for HttpServer {
@@ -209,20 +223,17 @@ impl Drop for HttpServer {
     }
 }
 
+/// Blocks in `accept`. Once the stop flag is set, the next accepted
+/// stream (the shutdown wake) is dropped and the listener with it.
 fn accept_loop(listener: TcpListener, tx: Sender<TcpStream>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-                let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+    while let Ok((stream, _)) = listener.accept() {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+        if tx.send(stream).is_err() {
+            break;
         }
     }
 }
@@ -515,6 +526,72 @@ mod tests {
         // not be answered.
         let result = HttpClient::new(addr).get("/");
         assert!(result.is_err() || result.unwrap().0 != 200);
+    }
+
+    /// Runs `stop` on a helper thread and reports whether it returned
+    /// within 2 s, so a broken shutdown wake fails the test instead of
+    /// hanging the suite.
+    fn stops_in_time(stop: impl FnOnce() + Send + 'static) -> bool {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            stop();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(2)).is_ok()
+    }
+
+    fn trivial_server(addr: &str) -> HttpServer {
+        HttpServer::serve(addr, 1, Arc::new(|_| Response::json("{}"))).unwrap()
+    }
+
+    #[test]
+    fn shutdown_of_an_idle_server_returns() {
+        let mut server = trivial_server("127.0.0.1:0");
+        assert!(stops_in_time(move || server.shutdown()));
+    }
+
+    #[test]
+    fn shutdown_of_a_wildcard_bound_server_returns() {
+        let mut server = trivial_server("0.0.0.0:0");
+        let port = server.local_addr().port();
+        let (status, _) = HttpClient::new(SocketAddr::from((Ipv4Addr::LOCALHOST, port)))
+            .get("/")
+            .unwrap();
+        assert_eq!(status, 200);
+        assert!(stops_in_time(move || server.shutdown()));
+    }
+
+    #[test]
+    fn dropping_the_server_shuts_it_down() {
+        let server = trivial_server("127.0.0.1:0");
+        let client = HttpClient::new(server.local_addr());
+        assert_eq!(client.get("/").unwrap().0, 200);
+        assert!(stops_in_time(move || drop(server)));
+    }
+
+    #[test]
+    fn wake_addr_maps_wildcards_to_loopback() {
+        let v4: SocketAddr = "0.0.0.0:8080".parse().unwrap();
+        assert_eq!(wake_addr(v4), "127.0.0.1:8080".parse().unwrap());
+        let v6: SocketAddr = "[::]:8080".parse().unwrap();
+        assert_eq!(wake_addr(v6), "[::1]:8080".parse().unwrap());
+        let bound: SocketAddr = "10.1.2.3:80".parse().unwrap();
+        assert_eq!(wake_addr(bound), bound);
+    }
+
+    #[test]
+    fn sequential_round_trips_do_not_wait_out_a_poll_period() {
+        let server = trivial_server("127.0.0.1:0");
+        let client = HttpClient::new(server.local_addr());
+        let start = std::time::Instant::now();
+        for _ in 0..200 {
+            assert_eq!(client.get("/").unwrap().0, 200);
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(500),
+            "200 sequential round trips took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -113,16 +113,23 @@ impl PendingQueue {
 
     /// Recomputes the per-topology minimums from the queue (after any
     /// removal that might have dropped a topology's earliest window).
+    /// Allocation-free for topologies already indexed: existing entries
+    /// are reset to `i64::MIN` (never a valid end, since `end > start`),
+    /// re-minimized in place, and the ones left unset are removed.
     fn rebuild_earliest(&mut self) {
-        self.earliest_end.clear();
-        let ends: Vec<(String, i64)> = self
-            .queue
-            .iter()
-            .map(|p| (p.topology.clone(), p.window_end))
-            .collect();
-        for (topology, end) in ends {
-            self.note(&topology, end);
+        for end in self.earliest_end.values_mut() {
+            *end = i64::MIN;
         }
+        for p in &self.queue {
+            match self.earliest_end.get_mut(p.topology.as_str()) {
+                Some(end) if *end == i64::MIN || p.window_end < *end => *end = p.window_end,
+                Some(_) => {}
+                None => {
+                    self.earliest_end.insert(p.topology.clone(), p.window_end);
+                }
+            }
+        }
+        self.earliest_end.retain(|_, end| *end != i64::MIN);
     }
 }
 
@@ -189,12 +196,14 @@ impl AccuracyMonitor {
         }
         let mut pending = self.pending.lock();
         if pending.queue.len() == MAX_PENDING {
-            let evicted = pending.queue.pop_front();
-            self.dropped.inc();
-            // The evicted entry may have carried its topology's
-            // earliest window end.
-            if evicted.is_some() {
-                pending.rebuild_earliest();
+            if let Some(evicted) = pending.queue.pop_front() {
+                self.dropped.inc();
+                // Only an entry carrying its topology's earliest window
+                // end can move that topology's minimum.
+                if pending.earliest_end.get(evicted.topology.as_str()) == Some(&evicted.window_end)
+                {
+                    pending.rebuild_earliest();
+                }
             }
         }
         pending.note(&prediction.topology, prediction.window_end);
@@ -413,6 +422,65 @@ mod tests {
             .is_empty());
         assert_eq!(calls, 1);
         assert_eq!(m.pending_len(), 89);
+    }
+
+    /// Asserts the per-topology earliest-end index equals a brute-force
+    /// minimum over the queue, with no entry for an empty topology.
+    fn assert_index_consistent(m: &AccuracyMonitor, topologies: &[&str], step: usize) {
+        let pending = m.pending.lock();
+        let mut expected = vec![None::<i64>; topologies.len()];
+        for p in &pending.queue {
+            let i = topologies.iter().position(|t| *t == p.topology).unwrap();
+            expected[i] = Some(expected[i].map_or(p.window_end, |e| e.min(p.window_end)));
+        }
+        for (topology, end) in topologies.iter().zip(&expected) {
+            let indexed = pending.earliest_end.get(*topology);
+            assert_eq!(indexed, end.as_ref(), "{topology} drifted at step {step}");
+        }
+        assert_eq!(
+            pending.earliest_end.len(),
+            expected.iter().flatten().count()
+        );
+    }
+
+    #[test]
+    fn earliest_end_index_matches_the_queue_through_overflow_and_drains() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let topologies = ["t0", "t1", "t2", "t3"];
+        let mut rng = StdRng::seed_from_u64(14);
+        let m = monitor();
+        let mut watermark = 0_i64;
+        let (mut evictions, mut drains) = (0, 0);
+        for step in 0..2 * MAX_PENDING {
+            if rng.random_range(0..64u32) == 0 {
+                watermark += rng.random_range(0..5_000i64);
+                // t3 has no data yet in the first eighth; its
+                // predictions stay queued until it does.
+                let t3_known = step > MAX_PENDING / 4;
+                let due = m.take_due(|t| (t != "t3" || t3_known).then_some(watermark));
+                assert!(due.iter().all(|p| p.window_end <= watermark));
+                drains += usize::from(!due.is_empty());
+            } else {
+                // t3 stops predicting after a quarter, so it must leave the
+                // index once its entries are drained or evicted.
+                let live: usize = if step < MAX_PENDING / 2 { 4 } else { 3 };
+                let topology = topologies[rng.random_range(0..live)];
+                let window_end = watermark + rng.random_range(1..600_000i64);
+                evictions += usize::from(m.pending_len() == MAX_PENDING);
+                m.record(PendingPrediction {
+                    topology: topology.into(),
+                    window_start: window_end - 60_000,
+                    window_end,
+                    ..pending("stats", 0, 1.0)
+                });
+            }
+            assert_index_consistent(&m, &topologies, step);
+        }
+        assert!(evictions > 0, "schedule never overflowed the queue");
+        assert!(drains > 0, "schedule never drained a due window");
+        assert!(!m.pending.lock().earliest_end.contains_key("t3"));
     }
 
     #[test]

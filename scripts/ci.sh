@@ -31,6 +31,10 @@ cargo test -q --test observability -- --test-threads=1
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# Runs every perfbench workload's correctness checks over real HTTP, so an edge or cache change that breaks them fails CI.
+echo "==> perfbench smoke test"
+cargo test --release --offline --quiet --manifest-path perfbench/Cargo.toml
+
 # Forced single-threading: every exec pool degrades to its inline
 # sequential path, so any output depending on parallel scheduling
 # (and any accidental nondeterminism) shows up as a diff here. The
