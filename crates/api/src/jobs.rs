@@ -7,7 +7,7 @@
 //! and poll for the result.
 
 use crate::json::Value;
-use caladrius_obs::{Gauge, RequestScope};
+use caladrius_obs::{Gauge, ParentSpanScope, RequestScope};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -409,30 +409,32 @@ impl JobRunner {
     ) -> Result<u64, JobRejected> {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         self.store.insert_keyed(id, key, self.per_key_cap)?;
-        self.queue_depth.add(1.0);
-        let request_id = caladrius_obs::current_request_id();
-        let task: Task = Box::new(move || {
-            let _scope = request_id.map(RequestScope::enter);
-            let mut span = caladrius_obs::global_span("api.job");
-            span.field("job", id);
-            task()
-        });
-        self.tx
-            .send((id, task))
-            .expect("workers outlive the runner");
+        self.enqueue(id, task);
         Ok(id)
     }
 
-    /// Submits a job; returns its id immediately. The submitter's request
-    /// id (if any) is re-installed around the job body so spans recorded
-    /// by the worker stay attributable to the originating HTTP request.
+    /// Submits a job; returns its id immediately.
     pub fn submit(&self, task: impl FnOnce() -> Result<Value, String> + Send + 'static) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         self.store.insert(id, JobState::Pending);
+        self.enqueue(id, task);
+        id
+    }
+
+    /// Queues a tracked job. This is the one place trace context
+    /// crosses into a job: the submitter's request id and innermost
+    /// live span (the `http.request` span, on the HTTP path) are
+    /// re-installed on the worker, and the job body runs inside an
+    /// `api.job` span parented to that span, so spans the job records
+    /// stay attributable to, and connected under, the originating
+    /// request.
+    fn enqueue(&self, id: u64, task: impl FnOnce() -> Result<Value, String> + Send + 'static) {
         self.queue_depth.add(1.0);
         let request_id = caladrius_obs::current_request_id();
+        let parent_span = caladrius_obs::current_span_id();
         let task: Task = Box::new(move || {
-            let _scope = request_id.map(RequestScope::enter);
+            let _request = request_id.map(RequestScope::enter);
+            let _parent = parent_span.map(ParentSpanScope::enter);
             let mut span = caladrius_obs::global_span("api.job");
             span.field("job", id);
             task()
@@ -440,7 +442,6 @@ impl JobRunner {
         self.tx
             .send((id, task))
             .expect("workers outlive the runner");
-        id
     }
 
     /// Polls a job's state.

@@ -17,6 +17,11 @@
 //! * [`admission`] — token-bucket + p99-SLO + queue-watermark admission
 //!   control: under overload, low-priority requests are shed with `429`
 //!   and `Retry-After` instead of queueing without bound.
+//! * [`edge`] — the HTTP edge every front door shares: request
+//!   telemetry (request id, `http.request` span, per-route counters,
+//!   latency window, route SLO, flight snapshot), admission, the job
+//!   store's accepted/poll responses and the observability endpoints.
+//!   A front door ([`FrontDoor`]) is only its route table.
 //! * [`routes`] — Caladrius's REST endpoints wired to
 //!   [`caladrius_core::Caladrius`]:
 //!   `GET /model/traffic/heron/{topology}`,
@@ -26,16 +31,15 @@
 #![warn(missing_docs)]
 
 pub mod admission;
+pub mod edge;
 pub mod http;
 pub mod jobs;
 pub mod json;
 pub mod routes;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision, Priority};
+pub use edge::{Edge, FrontDoor};
 pub use http::{HttpClient, HttpServer, Request, Response};
 pub use jobs::{JobRejected, JobRunner};
 pub use json::Value;
-pub use routes::{
-    flight_response, parse_plan_body, record_route_slo, slo_status_response, trace_recent_response,
-    ApiService,
-};
+pub use routes::{parse_plan_body, ApiService};

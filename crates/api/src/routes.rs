@@ -17,25 +17,23 @@
 //! | GET  | `/slo/status` | burn-rate evaluation of every SLO objective |
 //! | GET  | `/debug/flight` | flight-recorder dump (snapshots, SLO transitions, sheds) |
 
-use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, Priority};
+use crate::admission::AdmissionConfig;
+use crate::edge::{self, Edge, FrontDoor};
 use crate::http::{Handler, Request, Response};
-use crate::jobs::{JobRunner, JobState};
+use crate::jobs::JobRunner;
 use crate::json::{self, Value};
 use caladrius_core::capacity::CapacityPlanRequest;
 use caladrius_core::error::CoreError;
 use caladrius_core::service::{EvaluationReport, SourceRateSpec};
 use caladrius_core::traffic::TrafficForecast;
 use caladrius_core::Caladrius;
-use caladrius_obs::{ParentSpanScope, RequestScope};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The HTTP-facing Caladrius service.
 pub struct ApiService {
     caladrius: Arc<Caladrius>,
-    jobs: JobRunner,
-    admission: AdmissionController,
+    edge: Edge,
 }
 
 impl std::fmt::Debug for ApiService {
@@ -51,22 +49,7 @@ fn error_response(err: &CoreError) -> Response {
         CoreError::NotEnoughObservations { .. } | CoreError::Unpredictable(_) => 422,
         CoreError::Substrate(_) => 500,
     };
-    Response::json_status(
-        status,
-        Value::object([("error", Value::from(err.to_string()))]).to_json(),
-    )
-}
-
-/// A `200` Prometheus exposition of the process-wide registry, limited
-/// to unscoped series and the `owned` `(label, scope id)` pairs.
-pub fn prometheus_response(owned: &[(&str, String)]) -> Response {
-    let registry = caladrius_obs::global_registry();
-    Response {
-        status: 200,
-        content_type: caladrius_obs::PROMETHEUS_CONTENT_TYPE.into(),
-        body: caladrius_obs::render_prometheus_owned(registry, owned).into_bytes(),
-        headers: Vec::new(),
-    }
+    edge::error_json(status, err.to_string())
 }
 
 fn forecast_to_json(f: &TrafficForecast) -> Value {
@@ -192,13 +175,17 @@ fn report_to_json(report: &EvaluationReport) -> Value {
     ])
 }
 
+/// A request body as JSON; an empty body is an empty object.
+pub fn body_json(body: &str) -> Result<Value, String> {
+    if body.trim().is_empty() {
+        return Ok(Value::Object(Default::default()));
+    }
+    json::parse(body).map_err(|e| e.to_string())
+}
+
 /// Parses the evaluation request body.
 fn parse_evaluation_body(body: &str) -> Result<(HashMap<String, u32>, SourceRateSpec), String> {
-    let value = if body.trim().is_empty() {
-        Value::Object(Default::default())
-    } else {
-        json::parse(body).map_err(|e| e.to_string())?
-    };
+    let value = body_json(body)?;
     let mut parallelisms = HashMap::new();
     if let Some(map) = value.get("parallelism").and_then(Value::as_object) {
         for (k, v) in map {
@@ -240,11 +227,7 @@ fn parse_evaluation_body(body: &str) -> Result<(HashMap<String, u32>, SourceRate
 /// the planner defaults. Public so the fleet tier's plan route shares
 /// one body dialect with the single-topology route.
 pub fn parse_plan_body(body: &str) -> Result<CapacityPlanRequest, String> {
-    let value = if body.trim().is_empty() {
-        Value::Object(Default::default())
-    } else {
-        json::parse(body).map_err(|e| e.to_string())?
-    };
+    let value = body_json(body)?;
     let mut request = CapacityPlanRequest::default();
     if let Some(model) = value.get("traffic_model") {
         request.traffic_model = Some(
@@ -368,213 +351,6 @@ fn timeline_to_json(topology: &str, timeline: &caladrius_planner::PlanTimeline) 
     ])
 }
 
-/// Feeds the per-route SLO objective: a request is good when it neither
-/// failed server-side nor blew the route's latency SLO. Shared by every
-/// front door (API and fleet) so `/slo/status` covers all routes.
-pub fn record_route_slo(route: &str, status: u16, elapsed_secs: f64, latency_slo: f64) {
-    caladrius_obs::global_slos()
-        .objective(
-            &format!("route:{route}"),
-            caladrius_obs::SloConfig::default(),
-        )
-        .record(status < 500 && elapsed_secs <= latency_slo);
-}
-
-/// Shared `GET /trace/recent?limit=N&request_id=...` implementation:
-/// newest spans first, `limit` clamped to the ring capacity, optionally
-/// filtered to one request id. Mounted by both front doors.
-pub fn trace_recent_response(request: &Request) -> Response {
-    let tracer = caladrius_obs::tracer();
-    let limit = match request.query.get("limit") {
-        None => 100,
-        Some(v) => match v.parse::<usize>() {
-            // An oversized limit cannot return more than the ring holds;
-            // clamp instead of letting callers size allocations.
-            Ok(n) => n.min(tracer.capacity()),
-            Err(_) => {
-                return Response::json_status(
-                    400,
-                    "{\"error\":\"limit must be a non-negative integer\"}",
-                )
-            }
-        },
-    };
-    let request_id = match request.query.get("request_id") {
-        None => None,
-        Some(raw) => match caladrius_obs::RequestId::parse(raw) {
-            Some(id) => Some(id),
-            None => {
-                return Response::json_status(
-                    400,
-                    "{\"error\":\"request_id must be a hex or decimal id\"}",
-                )
-            }
-        },
-    };
-    let events = tracer
-        .recent_filtered(limit, request_id)
-        .into_iter()
-        .map(|e| {
-            Value::object([
-                ("seq", Value::from(e.seq as f64)),
-                ("ts_unix_ms", Value::from(e.ts_unix_ms as f64)),
-                ("name", Value::from(e.name.clone())),
-                ("duration_us", Value::from(e.duration_us as f64)),
-                (
-                    "request_id",
-                    e.request_id
-                        .map(|id| Value::from(id.to_string()))
-                        .unwrap_or(Value::Null),
-                ),
-                ("span_id", Value::from(e.span_id as f64)),
-                (
-                    "parent_span_id",
-                    e.parent_span_id
-                        .map(|id| Value::from(id as f64))
-                        .unwrap_or(Value::Null),
-                ),
-                (
-                    "fields",
-                    Value::Object(
-                        e.fields
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Value::from(v.clone())))
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    Value::object([("events", Value::Array(events))])
-        .to_json()
-        .pipe(Response::json)
-}
-
-fn slo_status_to_json(status: &caladrius_obs::SloStatus) -> Value {
-    Value::object([
-        ("name", Value::from(status.name.clone())),
-        ("target", Value::from(status.target)),
-        ("state", Value::from(status.state.as_str())),
-        ("fast_burn_rate", Value::from(status.fast_burn)),
-        ("slow_burn_rate", Value::from(status.slow_burn)),
-        (
-            "fast_window_seconds",
-            Value::from(status.fast_window_secs as f64),
-        ),
-        (
-            "slow_window_seconds",
-            Value::from(status.slow_window_secs as f64),
-        ),
-        ("good", Value::from(status.good as f64)),
-        ("bad", Value::from(status.bad as f64)),
-    ])
-}
-
-/// Shared `GET /slo/status` implementation: evaluates every registered
-/// objective (also refreshing the burn-rate gauges and flight-recorder
-/// transitions) and reports the multi-window verdicts.
-pub fn slo_status_response() -> Response {
-    let statuses = caladrius_obs::evaluate_slos();
-    let count_state = |state: caladrius_obs::SloState| {
-        statuses.iter().filter(|s| s.state == state).count() as f64
-    };
-    Value::object([
-        (
-            "firing",
-            Value::from(count_state(caladrius_obs::SloState::Firing)),
-        ),
-        (
-            "warning",
-            Value::from(count_state(caladrius_obs::SloState::Warning)),
-        ),
-        (
-            "objectives",
-            Value::Array(statuses.iter().map(slo_status_to_json).collect()),
-        ),
-    ])
-    .to_json()
-    .pipe(Response::json)
-}
-
-fn labels_to_json(labels: &[(String, String)]) -> Value {
-    Value::Object(
-        labels
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::from(v.clone())))
-            .collect(),
-    )
-}
-
-/// Shared `GET /debug/flight` implementation: dumps the flight
-/// recorder's retained snapshots, SLO transitions and shed decisions.
-/// Takes a snapshot first when due (or when none exists yet) so the
-/// dump is never empty.
-pub fn flight_response() -> Response {
-    let flight = caladrius_obs::global_flight();
-    let registry = caladrius_obs::global_registry();
-    if !flight.maybe_snapshot(registry) && flight.snapshot_count() == 0 {
-        flight.force_snapshot(registry);
-    }
-    let snapshots = flight
-        .snapshots()
-        .into_iter()
-        .map(|s| {
-            Value::object([
-                ("ts_unix_ms", Value::from(s.ts_unix_ms as f64)),
-                ("uptime_secs", Value::from(s.uptime_secs as f64)),
-                (
-                    "samples",
-                    Value::Array(
-                        s.samples
-                            .iter()
-                            .map(|sample| {
-                                Value::object([
-                                    ("name", Value::from(sample.name.clone())),
-                                    ("labels", labels_to_json(&sample.labels)),
-                                    ("value", Value::from(sample.value)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    let transitions = flight
-        .transitions()
-        .into_iter()
-        .map(|t| {
-            Value::object([
-                ("ts_unix_ms", Value::from(t.ts_unix_ms as f64)),
-                ("objective", Value::from(t.objective.clone())),
-                ("from", Value::from(t.from.as_str())),
-                ("to", Value::from(t.to.as_str())),
-                ("fast_burn_rate", Value::from(t.fast_burn)),
-                ("slow_burn_rate", Value::from(t.slow_burn)),
-            ])
-        })
-        .collect();
-    let sheds = flight
-        .sheds()
-        .into_iter()
-        .map(|s| {
-            Value::object([
-                ("ts_unix_ms", Value::from(s.ts_unix_ms as f64)),
-                ("route", Value::from(s.route.clone())),
-                ("priority", Value::from(s.priority.clone())),
-                ("reason", Value::from(s.reason.clone())),
-            ])
-        })
-        .collect();
-    Value::object([
-        ("snapshots", Value::Array(snapshots)),
-        ("slo_transitions", Value::Array(transitions)),
-        ("sheds", Value::Array(sheds)),
-    ])
-    .to_json()
-    .pipe(Response::json)
-}
-
 impl ApiService {
     /// Wraps a Caladrius service with the process-default worker count
     /// ([`caladrius_exec::configured_threads`]: the `CALADRIUS_THREADS`
@@ -610,23 +386,9 @@ impl ApiService {
         jobs: JobRunner,
         admission: AdmissionConfig,
     ) -> Arc<Self> {
-        let registry = caladrius_obs::global_registry();
-        registry.describe(
-            "caladrius_http_requests_total",
-            "HTTP requests by route pattern, method and status",
-        );
-        registry.describe(
-            "caladrius_http_request_duration_seconds",
-            "HTTP request handling time by route pattern (cumulative rows plus recent-window quantile gauges)",
-        );
-        registry.describe(
-            caladrius_obs::BURN_RATE_METRIC,
-            "SLO error-budget burn rate by objective and evaluation window",
-        );
         Arc::new(Self {
             caladrius,
-            jobs,
-            admission: AdmissionController::new(admission),
+            edge: Edge::new(jobs, admission),
         })
     }
 
@@ -635,130 +397,14 @@ impl ApiService {
         &self.caladrius
     }
 
-    /// The async job runner (fleet health reads its queue depth).
+    /// The async job runner.
     pub fn jobs(&self) -> &JobRunner {
-        &self.jobs
+        self.edge.jobs()
     }
 
     /// A handler suitable for [`crate::http::HttpServer::serve`].
     pub fn handler(self: &Arc<Self>) -> Handler {
-        let service = Arc::clone(self);
-        Arc::new(move |request| service.handle(request))
-    }
-
-    /// Routes one request (usable directly in tests, no sockets needed).
-    ///
-    /// Installs the request id (from `x-request-id`, minting one for
-    /// hand-built requests) for the duration of the handler so every span
-    /// recorded below attributes to this request, and records per-route
-    /// counters, latency histograms and an `http.request` span.
-    pub fn handle(&self, request: Request) -> Response {
-        let request_id = request
-            .request_id()
-            .unwrap_or_else(caladrius_obs::next_request_id);
-        let _request_scope = RequestScope::enter(request_id);
-        let started = Instant::now();
-        let mut span = caladrius_obs::global_span("http.request");
-        let (route, response) = self.route(&request);
-        span.field("route", route)
-            .field("method", &request.method)
-            .field("status", response.status);
-        let registry = caladrius_obs::global_registry();
-        let status = response.status.to_string();
-        registry
-            .counter(
-                "caladrius_http_requests_total",
-                &[
-                    ("route", route),
-                    ("method", &request.method),
-                    ("status", &status),
-                ],
-            )
-            .inc();
-        registry
-            .windowed_histogram(
-                "caladrius_http_request_duration_seconds",
-                &[("route", route)],
-            )
-            .record_duration(started.elapsed());
-        record_route_slo(
-            route,
-            response.status,
-            started.elapsed().as_secs_f64(),
-            self.admission.config().slo_p99_seconds,
-        );
-        caladrius_obs::global_flight().maybe_snapshot(registry);
-        response
-    }
-
-    /// Dispatches to a route handler, returning the normalized route
-    /// pattern (the metric label) alongside the response.
-    fn route(&self, request: &Request) -> (&'static str, Response) {
-        let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-        match (request.method.as_str(), segments.as_slice()) {
-            ("GET", ["health"]) => ("/health", self.health()),
-            ("GET", ["topologies"]) => {
-                let names = self.caladrius.topologies();
-                let response = Value::object([(
-                    "topologies",
-                    Value::Array(names.into_iter().map(Value::from).collect()),
-                )])
-                .to_json()
-                .pipe(Response::json);
-                ("/topologies", response)
-            }
-            ("GET", ["model", "traffic", "heron", topology]) => (
-                "/model/traffic/heron/{topology}",
-                self.traffic(topology, request),
-            ),
-            ("POST", ["model", "topology", "heron", topology]) => (
-                "/model/topology/heron/{topology}",
-                self.evaluate(topology, request),
-            ),
-            ("GET", ["model", "packing", "heron", topology]) => (
-                "/model/packing/heron/{topology}",
-                self.packing(topology, request),
-            ),
-            ("GET", ["metrics", "service"]) => ("/metrics/service", self.service_metrics()),
-            ("GET", ["metrics", "heron", topology]) => {
-                ("/metrics/heron/{topology}", self.metrics(topology, request))
-            }
-            ("GET", ["trace", "recent"]) => ("/trace/recent", trace_recent_response(request)),
-            ("GET", ["slo", "status"]) => ("/slo/status", slo_status_response()),
-            ("GET", ["debug", "flight"]) => ("/debug/flight", flight_response()),
-            ("POST", ["topology", topology, "plan"]) => {
-                ("/topology/{topology}/plan", self.plan(topology, request))
-            }
-            ("GET", ["jobs", id]) => ("/jobs/{id}", self.job_status(id)),
-            (_, ["model", ..])
-            | (_, ["jobs", ..])
-            | (_, ["topology", _, "plan"])
-            | (_, ["metrics", "service"])
-            | (_, ["trace", ..])
-            | (_, ["slo", ..])
-            | (_, ["debug", "flight"])
-            | (_, ["health"])
-            | (_, ["topologies"]) => (
-                "method_not_allowed",
-                Response::json_status(405, "{\"error\":\"method not allowed\"}"),
-            ),
-            _ => (
-                "unmatched",
-                Response::json_status(404, "{\"error\":\"no such endpoint\"}"),
-            ),
-        }
-    }
-
-    /// `GET /metrics/service` — this instance's metrics in Prometheus
-    /// text exposition format: every unscoped series plus the series of
-    /// its own service, job runner and metrics stores, never another
-    /// in-process instance's. SLO burn-rate gauges are re-evaluated
-    /// first so the scrape never reports stale burn rates.
-    fn service_metrics(&self) -> Response {
-        caladrius_obs::evaluate_slos();
-        let mut owned = self.caladrius.obs_scopes();
-        owned.push(("runner", self.jobs.scope_id().to_string()));
-        prometheus_response(&owned)
+        edge::handler(self)
     }
 
     /// Liveness plus data-plane observability. A thin view over the obs
@@ -770,59 +416,46 @@ impl ApiService {
     fn health(&self) -> Response {
         let cache = self.caladrius.model_cache_stats();
         let plan_cache = self.caladrius.plan_cache_stats();
+        let n = |count: u64| Value::from(count as f64);
         let mut fields = vec![
             ("status", Value::from("ok")),
             (
                 "model_cache",
                 Value::object([
-                    ("hits", Value::from(cache.hits as f64)),
-                    ("misses", Value::from(cache.misses as f64)),
-                    ("fits", Value::from(cache.fits as f64)),
-                    (
-                        "incremental_fits",
-                        Value::from(cache.incremental_fits as f64),
-                    ),
-                    ("full_fits", Value::from(cache.full_fits as f64)),
-                    ("plans", Value::from(cache.plans as f64)),
-                    ("plan_evals", Value::from(cache.plan_evals as f64)),
-                    ("oracle_hits", Value::from(cache.oracle_hits as f64)),
-                    ("oracle_misses", Value::from(cache.oracle_misses as f64)),
+                    ("hits", n(cache.hits)),
+                    ("misses", n(cache.misses)),
+                    ("fits", n(cache.fits)),
+                    ("incremental_fits", n(cache.incremental_fits)),
+                    ("full_fits", n(cache.full_fits)),
+                    ("plans", n(cache.plans)),
+                    ("plan_evals", n(cache.plan_evals)),
+                    ("oracle_hits", n(cache.oracle_hits)),
+                    ("oracle_misses", n(cache.oracle_misses)),
                 ]),
             ),
             (
                 "plan_cache",
                 Value::object([
-                    ("hits", Value::from(plan_cache.hits as f64)),
-                    ("misses", Value::from(plan_cache.misses as f64)),
-                    ("warm_starts", Value::from(plan_cache.warm_starts as f64)),
-                    ("evictions", Value::from(plan_cache.evictions as f64)),
+                    ("hits", n(plan_cache.hits)),
+                    ("misses", n(plan_cache.misses)),
+                    ("warm_starts", n(plan_cache.warm_starts)),
+                    ("evictions", n(plan_cache.evictions)),
                 ]),
             ),
-            ("jobs_tracked", Value::from(self.jobs.len() as f64)),
+            ("jobs_tracked", Value::from(self.jobs().len() as f64)),
             ("slo", {
                 let statuses = caladrius_obs::evaluate_slos();
-                let count = |state: caladrius_obs::SloState| {
-                    statuses.iter().filter(|s| s.state == state).count() as f64
-                };
-                Value::object([
-                    ("objectives", Value::from(statuses.len() as f64)),
-                    (
-                        "firing",
-                        Value::from(count(caladrius_obs::SloState::Firing)),
-                    ),
-                    (
-                        "warning",
-                        Value::from(count(caladrius_obs::SloState::Warning)),
-                    ),
-                ])
+                let mut counts = edge::slo_state_counts(&statuses);
+                counts.push(("objectives", Value::from(statuses.len() as f64)));
+                Value::object(counts)
             }),
         ];
         if let Some(ingest) = self.caladrius.metrics_provider().ingest_stats() {
             fields.push((
                 "ingest",
                 Value::object([
-                    ("batches", Value::from(ingest.batches as f64)),
-                    ("samples", Value::from(ingest.samples as f64)),
+                    ("batches", n(ingest.batches)),
+                    ("samples", n(ingest.samples)),
                 ]),
             ));
         }
@@ -830,8 +463,8 @@ impl ApiService {
             fields.push((
                 "tsdb",
                 Value::object([
-                    ("tail_cache_hits", Value::from(tail.hits as f64)),
-                    ("tail_cache_misses", Value::from(tail.misses as f64)),
+                    ("tail_cache_hits", n(tail.hits)),
+                    ("tail_cache_misses", n(tail.misses)),
                 ]),
             ));
         }
@@ -858,37 +491,21 @@ impl ApiService {
     }
 
     fn evaluate(&self, topology: &str, request: &Request) -> Response {
-        let body = match request.body_str() {
-            Some(b) => b,
-            None => return Response::json_status(400, "{\"error\":\"body is not UTF-8\"}"),
-        };
-        let (parallelisms, source) = match parse_evaluation_body(body) {
+        let (parallelisms, source) = match edge::parse_body(request, parse_evaluation_body) {
             Ok(parsed) => parsed,
-            Err(msg) => {
-                return Response::json_status(
-                    400,
-                    Value::object([("error", Value::from(msg))]).to_json(),
-                )
-            }
+            Err(bad) => return bad,
         };
         let is_async = request.query.get("async").map(String::as_str) == Some("true");
         if is_async {
             let caladrius = Arc::clone(&self.caladrius);
             let topology = topology.to_string();
-            let id = self.jobs.submit(move || {
+            let id = self.jobs().submit(move || {
                 caladrius
                     .evaluate(&topology, &parallelisms, &source)
                     .map(|report| report_to_json(&report))
                     .map_err(|e| e.to_string())
             });
-            return Response::json_status(
-                202,
-                Value::object([
-                    ("job_id", Value::from(id as f64)),
-                    ("poll", Value::from(format!("/jobs/{id}"))),
-                ])
-                .to_json(),
-            );
+            return self.edge.accepted(Ok(id), "/jobs");
         }
         match self.caladrius.evaluate(topology, &parallelisms, &source) {
             Ok(report) => Response::json(report_to_json(&report).to_json()),
@@ -903,24 +520,16 @@ impl ApiService {
         let containers = match request.query.get("containers").map(|v| v.parse::<usize>()) {
             None => 4,
             Some(Ok(n)) => n,
-            Some(Err(_)) => {
-                return Response::json_status(400, "{\"error\":\"containers must be an integer\"}")
-            }
+            Some(Err(_)) => return edge::error_json(400, "containers must be an integer"),
         };
         let mut proposed = HashMap::new();
         if let Some(spec) = request.query.get("parallelism") {
             for pair in spec.split(',').filter(|p| !p.is_empty()) {
                 let Some((component, p)) = pair.split_once(':') else {
-                    return Response::json_status(
-                        400,
-                        "{\"error\":\"parallelism must be component:count pairs\"}",
-                    );
+                    return edge::error_json(400, "parallelism must be component:count pairs");
                 };
                 let Ok(p) = p.trim().parse::<u32>() else {
-                    return Response::json_status(
-                        400,
-                        "{\"error\":\"parallelism counts must be integers\"}",
-                    );
+                    return edge::error_json(400, "parallelism counts must be integers");
                 };
                 proposed.insert(component.trim().to_string(), p);
             }
@@ -958,29 +567,17 @@ impl ApiService {
     /// selector grammar (`name{tag=value,...}`).
     fn metrics(&self, topology: &str, request: &Request) -> Response {
         let Some(selector) = request.query.get("q") else {
-            return Response::json_status(400, "{\"error\":\"missing q=<selector>\"}");
+            return edge::error_json(400, "missing q=<selector>");
         };
         let (name, filters) = match caladrius_tsdb::query::parse_selector(selector) {
             Ok(parsed) => parsed,
-            Err(msg) => {
-                return Response::json_status(
-                    400,
-                    Value::object([("error", Value::from(msg))]).to_json(),
-                )
-            }
+            Err(msg) => return edge::error_json(400, msg),
         };
         let parse_ts = |key: &str, default: i64| -> Result<i64, Response> {
             match request.query.get(key) {
                 None => Ok(default),
                 Some(v) => v.parse().map_err(|_| {
-                    Response::json_status(
-                        400,
-                        Value::object([(
-                            "error",
-                            Value::from(format!("{key} must be a millisecond timestamp")),
-                        )])
-                        .to_json(),
-                    )
+                    edge::error_json(400, format!("{key} must be a millisecond timestamp"))
                 }),
             }
         };
@@ -1031,30 +628,6 @@ impl ApiService {
         }
     }
 
-    /// Observed **recent** p99 latency of a route, read from the same
-    /// per-route windowed histogram [`ApiService::handle`] records
-    /// into. `None` until the route has served a request inside the
-    /// sliding window, so shedding reacts to the last couple of minutes
-    /// — a long-past burst can no longer pin admission shut.
-    fn route_p99(route: &str) -> Option<f64> {
-        let histogram = caladrius_obs::global_registry().windowed_histogram(
-            "caladrius_http_request_duration_seconds",
-            &[("route", route)],
-        );
-        let snapshot = histogram.windowed_snapshot();
-        (snapshot.count > 0).then(|| snapshot.quantile(0.99))
-    }
-
-    /// `429 Too Many Requests` with a `Retry-After` hint — both load
-    /// shedding and per-topology fairness caps surface this shape.
-    fn too_many_requests(error: &str, retry_after_seconds: u32) -> Response {
-        Response::json_status(
-            429,
-            Value::object([("error", Value::from(error))]).to_json(),
-        )
-        .with_header("Retry-After", retry_after_seconds.to_string())
-    }
-
     /// `POST /topology/{t}/plan` — horizon capacity planning. Plan
     /// searches forecast and probe the models across the whole horizon,
     /// so the work always runs asynchronously through the job store:
@@ -1066,47 +639,16 @@ impl ApiService {
     /// each topology's unfinished plan jobs. Both refusals surface as
     /// `429` with `Retry-After`.
     fn plan(&self, topology: &str, request: &Request) -> Response {
-        const ROUTE: &str = "/topology/{topology}/plan";
-        let priority = Priority::from_header(
-            request
-                .headers
-                .get(crate::admission::PRIORITY_HEADER)
-                .map(String::as_str),
-        );
-        if let AdmissionDecision::Shed {
-            retry_after_seconds,
-        } = self.admission.decide(
-            ROUTE,
-            priority,
-            Self::route_p99(ROUTE),
-            self.jobs.queue_depth(),
-        ) {
-            return Self::too_many_requests("shed by admission control", retry_after_seconds);
+        if let Err(shed) = self.edge.admit("/topology/{topology}/plan", request) {
+            return shed;
         }
-        let body = match request.body_str() {
-            Some(b) => b,
-            None => return Response::json_status(400, "{\"error\":\"body is not UTF-8\"}"),
-        };
-        let plan_request = match parse_plan_body(body) {
+        let plan_request = match edge::parse_body(request, parse_plan_body) {
             Ok(parsed) => parsed,
-            Err(msg) => {
-                return Response::json_status(
-                    400,
-                    Value::object([("error", Value::from(msg))]).to_json(),
-                )
-            }
+            Err(bad) => return bad,
         };
         let caladrius = Arc::clone(&self.caladrius);
-        let topology = topology.to_string();
-        let task_topology = topology.clone();
-        // The job runs on a worker thread: carry the request id and the
-        // `http.request` span id over so the plan's spans stay attached
-        // to the originating request in `/trace/recent`.
-        let request_id = caladrius_obs::current_request_id();
-        let parent_span = caladrius_obs::current_span_id();
-        let submitted = self.jobs.submit_keyed(&topology, move || {
-            let _request = request_id.map(RequestScope::enter);
-            let _parent = parent_span.map(ParentSpanScope::enter);
+        let task_topology = topology.to_string();
+        let submitted = self.jobs().submit_keyed(topology, move || {
             let outcome = caladrius.plan_capacity(&task_topology, &plan_request);
             // Plan jobs carry their own SLO objective: a failed plan
             // burns error budget even though the HTTP 202 already
@@ -1118,61 +660,59 @@ impl ApiService {
                 .map(|timeline| timeline_to_json(&task_topology, &timeline))
                 .map_err(|e| e.to_string())
         });
-        let id = match submitted {
-            Ok(id) => id,
-            Err(rejected) => {
-                return Self::too_many_requests(
-                    &rejected.to_string(),
-                    self.admission.config().retry_after_seconds,
-                )
-            }
-        };
-        Response::json_status(
-            202,
-            Value::object([
-                ("job_id", Value::from(id as f64)),
-                ("poll", Value::from(format!("/jobs/{id}"))),
-            ])
-            .to_json(),
-        )
+        self.edge.accepted(submitted, "/jobs")
+    }
+}
+
+impl FrontDoor for ApiService {
+    fn edge(&self) -> &Edge {
+        &self.edge
     }
 
-    fn job_status(&self, id: &str) -> Response {
-        let Ok(id) = id.parse::<u64>() else {
-            return Response::json_status(400, "{\"error\":\"job id must be an integer\"}");
-        };
-        let timing_fields = |fields: &mut Vec<(&'static str, Value)>| {
-            let Some(timing) = self.jobs.timing(id) else {
-                return;
-            };
-            let opt = |v: Option<i64>| v.map(|ms| Value::from(ms as f64)).unwrap_or(Value::Null);
-            fields.push(("queued_ms", Value::from(timing.queued_unix_ms as f64)));
-            fields.push(("started_ms", opt(timing.started_unix_ms)));
-            fields.push(("finished_ms", opt(timing.finished_unix_ms)));
-            fields.push(("queue_wait_ms", opt(timing.queue_wait_ms())));
-            fields.push(("duration_ms", opt(timing.duration_ms())));
-        };
-        match self.jobs.state(id) {
-            None => Response::json_status(404, "{\"error\":\"no such job\"}"),
-            Some(JobState::Pending) => {
-                let mut fields = vec![("state", Value::from("pending"))];
-                timing_fields(&mut fields);
-                Response::json_status(202, Value::object(fields).to_json())
+    /// This service's own series and those of its metrics stores.
+    fn obs_scopes(&self) -> Vec<(&'static str, String)> {
+        self.caladrius.obs_scopes()
+    }
+
+    fn route(&self, request: &Request, segments: &[&str]) -> Option<(&'static str, Response)> {
+        Some(match (request.method.as_str(), segments) {
+            ("GET", ["health"]) => ("/health", self.health()),
+            ("GET", ["topologies"]) => {
+                let names = self.caladrius.topologies();
+                let response = Value::object([(
+                    "topologies",
+                    Value::Array(names.into_iter().map(Value::from).collect()),
+                )])
+                .to_json()
+                .pipe(Response::json);
+                ("/topologies", response)
             }
-            Some(JobState::Done(result)) => {
-                let mut fields = vec![("state", Value::from("done")), ("result", result)];
-                timing_fields(&mut fields);
-                Value::object(fields).to_json().pipe(Response::json)
+            ("GET", ["model", "traffic", "heron", topology]) => (
+                "/model/traffic/heron/{topology}",
+                self.traffic(topology, request),
+            ),
+            ("POST", ["model", "topology", "heron", topology]) => (
+                "/model/topology/heron/{topology}",
+                self.evaluate(topology, request),
+            ),
+            ("GET", ["model", "packing", "heron", topology]) => (
+                "/model/packing/heron/{topology}",
+                self.packing(topology, request),
+            ),
+            ("GET", ["metrics", "heron", topology]) => {
+                ("/metrics/heron/{topology}", self.metrics(topology, request))
             }
-            Some(JobState::Failed(message)) => {
-                let mut fields = vec![
-                    ("state", Value::from("failed")),
-                    ("error", Value::from(message)),
-                ];
-                timing_fields(&mut fields);
-                Value::object(fields).to_json().pipe(Response::json)
+            ("POST", ["topology", topology, "plan"]) => {
+                ("/topology/{topology}/plan", self.plan(topology, request))
             }
-        }
+            ("GET", ["jobs", id]) => ("/jobs/{id}", self.edge.job_status(id)),
+            (_, ["model", ..])
+            | (_, ["jobs", ..])
+            | (_, ["topology", _, "plan"])
+            | (_, ["health"])
+            | (_, ["topologies"]) => edge::method_not_allowed(),
+            _ => return None,
+        })
     }
 }
 

@@ -30,7 +30,7 @@
 //!    `Retry-After`, giving the recorded shed rate.
 
 use caladrius_api::json::{self, Value};
-use caladrius_api::{AdmissionConfig, Request, Response};
+use caladrius_api::{AdmissionConfig, FrontDoor, Request, Response};
 use caladrius_bench::{columns, fast_mode, header, row};
 use caladrius_fleet::{Fleet, FleetConfig, FleetService, StagedWorkload};
 use caladrius_tsdb::MetricBatch;

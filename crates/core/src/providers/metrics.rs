@@ -5,9 +5,10 @@ use crate::error::{CoreError, Result};
 use crate::model::component::ComponentObservation;
 use crate::model::cpu::CpuObservation;
 use caladrius_forecast::DataPoint;
-use caladrius_tsdb::{DataVersion, IngestStats, Sample};
+use caladrius_tsdb::{DataVersion, IngestStats, Sample, SeriesKey, TagFilter, TailCacheStats};
 use heron_sim::metrics::{metric, SimMetrics};
-use std::collections::BTreeMap;
+use parking_lot::RwLock;
+use std::collections::{BTreeMap, HashMap};
 
 /// Backpressure-time (ms per minute) above which a window counts as
 /// backpressured. The metric is bimodal (≈0 or ≈60 000, paper §IV-B1), so
@@ -86,23 +87,60 @@ pub trait MetricsProvider: Send + Sync {
     ) -> Result<Vec<(caladrius_tsdb::SeriesKey, Vec<Sample>)>>;
 }
 
-/// The tsdb-backed provider used with the simulator.
-#[derive(Debug, Clone)]
+/// The tsdb-backed provider used with the simulator: one [`SimMetrics`]
+/// store per topology, looked up by topology id.
+///
+/// * **Data-version isolation** — the service's caches are keyed by
+///   each topology's [`DataVersion`], and every topology has its *own*
+///   store (own `MetricsDb`, own watermark and rewrite count), so one
+///   topology's ingest or truncation never invalidates another's cached
+///   models.
+/// * **Online registration** — stores register while the service runs
+///   (a fleet shard hosts topologies as tenants arrive), so the map sits
+///   behind a `RwLock`. Reads run under the read guard on the borrowed
+///   store: no clone, no allocation per read.
+#[derive(Debug, Default)]
 pub struct SimMetricsProvider {
-    metrics: SimMetrics,
+    stores: RwLock<HashMap<String, SimMetrics>>,
 }
 
 impl SimMetricsProvider {
-    /// Wraps a simulation's metrics store.
+    /// A provider holding one store, registered under its topology id.
     pub fn new(metrics: SimMetrics) -> Self {
-        Self { metrics }
+        let provider = Self::default();
+        provider.register(metrics);
+        provider
     }
 
-    /// The wrapped store, when it holds `topology`.
-    fn lookup(&self, topology: &str) -> Result<&SimMetrics> {
-        (topology == self.metrics.topology())
-            .then_some(&self.metrics)
-            .ok_or_else(|| CoreError::Unknown(format!("topology {topology:?}")))
+    /// Registers (or replaces) a store under its topology id.
+    pub fn register(&self, metrics: SimMetrics) {
+        self.stores
+            .write()
+            .insert(metrics.topology().to_string(), metrics);
+    }
+
+    /// A handle on the store of `topology`, if registered.
+    pub fn metrics(&self, topology: &str) -> Option<SimMetrics> {
+        self.stores.read().get(topology).cloned()
+    }
+
+    /// Number of registered stores.
+    pub fn len(&self) -> usize {
+        self.stores.read().len()
+    }
+
+    /// True when no store is registered.
+    pub fn is_empty(&self) -> bool {
+        self.stores.read().is_empty()
+    }
+
+    /// Runs `read` on the store of `topology` under the read guard.
+    fn read<T>(&self, topology: &str, read: impl FnOnce(&SimMetrics) -> T) -> Result<T> {
+        let stores = self.stores.read();
+        let metrics = stores
+            .get(topology)
+            .ok_or_else(|| CoreError::Unknown(format!("topology {topology:?}")))?;
+        Ok(read(metrics))
     }
 }
 
@@ -115,9 +153,9 @@ impl MetricsProvider for SimMetricsProvider {
         from: i64,
         to: i64,
     ) -> Result<Vec<Sample>> {
-        Ok(self
-            .lookup(topology)?
-            .component_sum(metric_name, Some(component), from, to))
+        self.read(topology, |m| {
+            m.component_sum(metric_name, Some(component), from, to)
+        })
     }
 
     fn per_instance_series(
@@ -128,43 +166,56 @@ impl MetricsProvider for SimMetricsProvider {
         from: i64,
         to: i64,
     ) -> Result<Vec<(u32, Vec<Sample>)>> {
-        Ok(self
-            .lookup(topology)?
-            .per_instance(metric_name, component, from, to))
+        self.read(topology, |m| {
+            m.per_instance(metric_name, component, from, to)
+        })
     }
 
     fn data_version(&self, topology: &str) -> Option<DataVersion> {
         // O(1) off the per-db counters — no catalog scan, no series locks.
-        self.lookup(topology).ok()?.db().data_version()
+        self.read(topology, |m| m.db().data_version()).ok()?
     }
 
     fn ingest_stats(&self) -> Option<IngestStats> {
-        Some(self.metrics.db().ingest_stats())
+        let mut total = IngestStats::default();
+        for metrics in self.stores.read().values() {
+            let stats = metrics.db().ingest_stats();
+            total.batches += stats.batches;
+            total.samples += stats.samples;
+        }
+        Some(total)
     }
 
-    fn tail_cache_stats(&self) -> Option<caladrius_tsdb::TailCacheStats> {
-        Some(self.metrics.db().tail_cache_stats())
+    fn tail_cache_stats(&self) -> Option<TailCacheStats> {
+        let mut total = TailCacheStats::default();
+        for metrics in self.stores.read().values() {
+            let stats = metrics.db().tail_cache_stats();
+            total.hits += stats.hits;
+            total.misses += stats.misses;
+        }
+        Some(total)
     }
 
     fn db_scopes(&self) -> Vec<String> {
-        vec![self.metrics.db().scope_id().to_string()]
+        self.stores
+            .read()
+            .values()
+            .map(|m| m.db().scope_id().to_string())
+            .collect()
     }
 
     fn select_series(
         &self,
         topology: &str,
         metric_name: &str,
-        filters: &[caladrius_tsdb::TagFilter],
+        filters: &[TagFilter],
         from: i64,
         to: i64,
-    ) -> Result<Vec<(caladrius_tsdb::SeriesKey, Vec<Sample>)>> {
-        let metrics = self.lookup(topology)?;
-        let mut scoped = vec![caladrius_tsdb::TagFilter::eq(
-            heron_sim::metrics::tag::TOPOLOGY,
-            topology,
-        )];
+    ) -> Result<Vec<(SeriesKey, Vec<Sample>)>> {
+        let mut scoped = vec![TagFilter::eq(heron_sim::metrics::tag::TOPOLOGY, topology)];
         scoped.extend_from_slice(filters);
-        Ok(metrics.db().select(metric_name, &scoped, from, to)?)
+        let rows = self.read(topology, |m| m.db().select(metric_name, &scoped, from, to))??;
+        Ok(rows)
     }
 }
 
@@ -331,7 +382,13 @@ mod tests {
     use heron_sim::topology::{TopologyBuilder, WorkProfile};
 
     fn run_sim(rate: f64) -> SimMetrics {
-        let topo = TopologyBuilder::new("t")
+        let mut sim = sim_named("t", rate);
+        sim.warmup_minutes(2);
+        sim.run_minutes(10)
+    }
+
+    fn sim_named(name: &str, rate: f64) -> Simulation {
+        let topo = TopologyBuilder::new(name)
             .spout("spout", 2, RateProfile::constant(rate), 60)
             .bolt(
                 "bolt",
@@ -341,16 +398,95 @@ mod tests {
             .edge("spout", "bolt", Grouping::shuffle())
             .build()
             .unwrap();
-        let mut sim = Simulation::new(
+        Simulation::new(
             topo,
             SimConfig {
                 metric_noise: 0.0,
                 ..SimConfig::default()
             },
         )
-        .unwrap();
-        sim.warmup_minutes(2);
-        sim.run_minutes(10)
+        .unwrap()
+    }
+
+    /// Two stores in one provider: `a` and a live simulation feeding `b`.
+    fn two_store_provider() -> (SimMetricsProvider, Simulation, SimMetrics) {
+        let provider = SimMetricsProvider::new(run_sim(500.0));
+        let mut sim_b = sim_named("b", 300.0);
+        sim_b.warmup_minutes(2);
+        let b = sim_b.run_minutes(10);
+        provider.register(b.clone());
+        (provider, sim_b, b)
+    }
+
+    #[test]
+    fn one_stores_ingest_and_truncation_leave_the_others_version() {
+        let (provider, mut sim_b, b) = two_store_provider();
+        assert_eq!(provider.len(), 2);
+        let a_version = provider.data_version("t").expect("a has data");
+        let b_version = provider.data_version("b").expect("b has data");
+
+        sim_b.run_minutes_into(1, &b);
+        let b_ingested = provider.data_version("b").unwrap();
+        assert_ne!(b_ingested, b_version, "b's ingest moves b's version");
+        assert_eq!(provider.data_version("t"), Some(a_version));
+
+        let cutoff = provider.latest_minute("b").unwrap();
+        assert!(b.db().truncate_before(cutoff).unwrap() > 0);
+        assert_ne!(provider.data_version("b"), Some(b_ingested));
+        assert_eq!(provider.data_version("t"), Some(a_version));
+    }
+
+    #[test]
+    fn unknown_topology_is_unknown_on_every_read() {
+        let (provider, _, _) = two_store_provider();
+        let unknown = |r: Result<()>| matches!(r, Err(CoreError::Unknown(_)));
+        assert!(unknown(
+            provider
+                .component_series("ghost", "bolt", metric::EXECUTE_COUNT, 0, i64::MAX)
+                .map(drop)
+        ));
+        assert!(unknown(
+            provider
+                .per_instance_series("ghost", "bolt", metric::EXECUTE_COUNT, 0, i64::MAX)
+                .map(drop)
+        ));
+        assert!(unknown(
+            provider
+                .select_series("ghost", metric::EXECUTE_COUNT, &[], 0, i64::MAX)
+                .map(drop)
+        ));
+        assert_eq!(provider.data_version("ghost"), None);
+        assert!(provider.metrics("ghost").is_none());
+    }
+
+    #[test]
+    fn stats_and_scopes_cover_every_store() {
+        let (provider, mut sim_b, b) = two_store_provider();
+        let a = provider.metrics("t").expect("registered");
+        // Seal a chunk in b's series, so reads reach the tail cache.
+        sim_b.run_minutes_into(caladrius_tsdb::series::DEFAULT_CHUNK_SIZE as u64, &b);
+        for topology in ["t", "b", "b"] {
+            provider
+                .component_series(topology, "bolt", metric::EXECUTE_COUNT, 0, i64::MAX)
+                .unwrap();
+        }
+        let (a_ingest, b_ingest) = (a.db().ingest_stats(), b.db().ingest_stats());
+        let ingest = provider.ingest_stats().unwrap();
+        assert_eq!(ingest.batches, a_ingest.batches + b_ingest.batches);
+        assert_eq!(ingest.samples, a_ingest.samples + b_ingest.samples);
+        let (a_tail, b_tail) = (a.db().tail_cache_stats(), b.db().tail_cache_stats());
+        let tail = provider.tail_cache_stats().unwrap();
+        assert_eq!(tail.hits, a_tail.hits + b_tail.hits);
+        assert_eq!(tail.misses, a_tail.misses + b_tail.misses);
+        assert!(
+            tail.hits > 0 && tail.misses > 0,
+            "b's reads reach the tail cache"
+        );
+        let mut scopes = provider.db_scopes();
+        scopes.sort();
+        let mut expected = vec![a.db().scope_id().to_string(), b.db().scope_id().to_string()];
+        expected.sort();
+        assert_eq!(scopes, expected);
     }
 
     #[test]

@@ -73,11 +73,14 @@ impl TopologyTracker for ClusterTracker {
     }
 }
 
-/// Tracker over a fixed set of topologies (no cluster needed) — useful
-/// for one-shot analyses and tests.
+/// Tracker over a set of topologies registered by hand (no cluster
+/// needed). Registration takes `&self`, so topologies can arrive while
+/// a service runs (a fleet shard registers tenants online); every
+/// re-registration bumps the version, invalidating graph and model
+/// caches downstream.
 #[derive(Debug, Default)]
 pub struct StaticTracker {
-    topologies: HashMap<String, (Topology, u64)>,
+    topologies: RwLock<HashMap<String, (Topology, u64)>>,
 }
 
 impl StaticTracker {
@@ -88,18 +91,17 @@ impl StaticTracker {
 
     /// Registers a topology at version 1 (or bumps the version when the
     /// name is already present).
-    pub fn insert(&mut self, topology: Topology) {
-        let version = self
-            .topologies
+    pub fn insert(&self, topology: Topology) {
+        let mut topologies = self.topologies.write();
+        let version = topologies
             .get(&topology.name)
             .map(|(_, v)| v + 1)
             .unwrap_or(1);
-        self.topologies
-            .insert(topology.name.clone(), (topology, version));
+        topologies.insert(topology.name.clone(), (topology, version));
     }
 
     /// Builder-style insertion.
-    pub fn with(mut self, topology: Topology) -> Self {
+    pub fn with(self, topology: Topology) -> Self {
         self.insert(topology);
         self
     }
@@ -108,6 +110,7 @@ impl StaticTracker {
 impl TopologyTracker for StaticTracker {
     fn logical_spec(&self, topology: &str) -> Result<LogicalSpec> {
         self.topologies
+            .read()
             .get(topology)
             .map(|(t, _)| to_logical_spec(t))
             .ok_or_else(|| CoreError::Unknown(format!("topology {topology:?}")))
@@ -115,13 +118,14 @@ impl TopologyTracker for StaticTracker {
 
     fn last_updated(&self, topology: &str) -> Result<u64> {
         self.topologies
+            .read()
             .get(topology)
             .map(|(_, v)| *v)
             .ok_or_else(|| CoreError::Unknown(format!("topology {topology:?}")))
     }
 
     fn topologies(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.topologies.keys().cloned().collect();
+        let mut names: Vec<String> = self.topologies.read().keys().cloned().collect();
         names.sort();
         names
     }
@@ -164,7 +168,7 @@ mod tests {
 
     #[test]
     fn static_tracker_lookup_and_versioning() {
-        let mut tracker = StaticTracker::new().with(topo());
+        let tracker = StaticTracker::new().with(topo());
         assert_eq!(tracker.topologies(), vec!["wc"]);
         assert_eq!(tracker.last_updated("wc").unwrap(), 1);
         tracker.insert(topo().with_parallelism("splitter", 5).unwrap());
@@ -173,6 +177,21 @@ mod tests {
         assert_eq!(spec.components[1].1, 5);
         assert!(tracker.logical_spec("nope").is_err());
         assert!(tracker.last_updated("nope").is_err());
+    }
+
+    #[test]
+    fn reinsert_through_a_shared_tracker_bumps_the_version() {
+        let tracker = Arc::new(StaticTracker::new());
+        tracker.insert(topo());
+        assert_eq!(tracker.last_updated("wc").unwrap(), 1);
+        let shared = Arc::clone(&tracker);
+        std::thread::spawn(move || shared.insert(topo()))
+            .join()
+            .unwrap();
+        assert_eq!(tracker.last_updated("wc").unwrap(), 2);
+        tracker.insert(topo().with_parallelism("splitter", 4).unwrap());
+        assert_eq!(tracker.last_updated("wc").unwrap(), 3);
+        assert_eq!(tracker.logical_spec("wc").unwrap().components[1].1, 4);
     }
 
     #[test]

@@ -941,7 +941,7 @@ impl Caladrius {
     ///   entry's (only newer samples landed) and the anchored window
     ///   hasn't outgrown its 2× re-anchor bound: the delta is absorbed
     ///   into the retained sufficient statistics
-    ///   ([`Caladrius::absorb_delta`]). Counted as a cache miss plus
+    ///   (`Caladrius::absorb_delta`). Counted as a cache miss plus
     ///   `incremental_fits`.
     /// * **Cold** — anything else: full refit over the sliding window,
     ///   counted as a cache miss plus `full_fits`.

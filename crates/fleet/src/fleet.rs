@@ -5,9 +5,10 @@
 //! topology id ([`crate::hash::assign_shard`]), so growing the fleet
 //! only migrates topologies onto the new shard and every surviving
 //! shard keeps its tsdb contents and warm model caches. Each shard runs
-//! its own [`Caladrius`] over shard-local provider seams
-//! ([`crate::provider`]) with a `shard="<index>"` label on its obs
-//! series, which keeps per-shard cache and plan behaviour separable in
+//! its own [`Caladrius`] over a multi-store [`SimMetricsProvider`] (one
+//! tsdb store per hosted topology) and a [`StaticTracker`] that
+//! registers topologies online, with a `shard="<index>"` label on its
+//! obs series, which keeps per-shard cache and plan behaviour separable in
 //! one `/metrics` exposition.
 //!
 //! [`Fleet::plan_fleet`] is the cluster planner: it runs every
@@ -20,11 +21,9 @@
 
 use crate::allocator::{allocate_greedy, risk, Allocation, TopologyDemand};
 use crate::hash::assign_shard;
-use crate::provider::{FleetTracker, ShardMetricsProvider};
 use caladrius_core::capacity::{CapacityPlanRequest, PlanCacheLookup};
 use caladrius_core::config::CaladriusConfig;
-use caladrius_core::providers::metrics::MetricsProvider;
-use caladrius_core::providers::tracker::TopologyTracker;
+use caladrius_core::providers::{MetricsProvider, SimMetricsProvider, StaticTracker};
 use caladrius_core::{Caladrius, CoreError, ModelCacheStats, PlanCacheStats, Result};
 use caladrius_obs::{Counter, ParentSpanScope, RequestScope};
 use caladrius_planner::{PlanTimeline, UNLIMITED_CONTAINERS};
@@ -65,20 +64,20 @@ impl Default for FleetConfig {
 pub struct Shard {
     index: usize,
     service: Caladrius,
-    provider: Arc<ShardMetricsProvider>,
-    tracker: Arc<FleetTracker>,
+    provider: Arc<SimMetricsProvider>,
+    tracker: Arc<StaticTracker>,
     ingest_batches: Counter,
     ingest_samples: Counter,
 }
 
 impl Shard {
     fn new(index: usize, fleet_id: &str, config: &CaladriusConfig) -> Shard {
-        let provider = Arc::new(ShardMetricsProvider::new());
-        let tracker = Arc::new(FleetTracker::new());
+        let provider = Arc::new(SimMetricsProvider::default());
+        let tracker = Arc::new(StaticTracker::new());
         let label = index.to_string();
         let service = Caladrius::with_config_labelled(
-            Arc::clone(&provider) as Arc<dyn MetricsProvider>,
-            Arc::clone(&tracker) as Arc<dyn TopologyTracker>,
+            Arc::clone(&provider) as _,
+            Arc::clone(&tracker) as _,
             config.clone(),
             &[("shard", &label)],
         );
@@ -349,6 +348,20 @@ impl Fleet {
             .field("topologies", names.len())
             .field("budget", budget);
         let plan_span_id = plan_span.id();
+        // One pool task: a `fleet.shard.plan` span (constrained when it
+        // carries a grant) on the owning shard.
+        let shard_plan = |i: usize, request: &CapacityPlanRequest, grant: Option<u32>| {
+            let _request = request_id.map(RequestScope::enter);
+            let _parent = ParentSpanScope::enter(plan_span_id);
+            let mut span = caladrius_obs::global_span("fleet.shard.plan");
+            span.field("topology", &names[i])
+                .field("shard", self.shard_of(&names[i]).unwrap_or(0));
+            match grant {
+                None => span.field("stage", "unconstrained"),
+                Some(grant) => span.field("stage", "constrained").field("grant", grant),
+            };
+            self.plan_topology(&names[i], request)
+        };
 
         // Stage 1: delta partition, then unconstrained plans for what
         // actually changed. The plan-cache probe is cheap (no models, no
@@ -381,15 +394,8 @@ impl Fleet {
             first.push(None);
             pending.push(i);
         }
-        let solved: Vec<Result<PlanTimeline>> = pool.parallel_map(&pending, |_, i| {
-            let _request = request_id.map(RequestScope::enter);
-            let _parent = ParentSpanScope::enter(plan_span_id);
-            let mut span = caladrius_obs::global_span("fleet.shard.plan");
-            span.field("topology", &names[*i])
-                .field("shard", self.shard_of(&names[*i]).unwrap_or(0))
-                .field("stage", "unconstrained");
-            self.plan_topology(&names[*i], &unconstrained)
-        });
+        let solved: Vec<Result<PlanTimeline>> =
+            pool.parallel_map(&pending, |_, i| shard_plan(*i, &unconstrained, None));
         for (i, outcome) in pending.into_iter().zip(solved) {
             first[i] = Some(outcome);
         }
@@ -454,16 +460,9 @@ impl Fleet {
         replans.extend(pooled_grants.iter().map(|(i, _)| *i).zip(pool.parallel_map(
             &pooled_grants,
             |_, (i, grant)| {
-                let _request = request_id.map(RequestScope::enter);
-                let _parent = ParentSpanScope::enter(plan_span_id);
-                let mut span = caladrius_obs::global_span("fleet.shard.plan");
-                span.field("topology", &names[*i])
-                    .field("shard", self.shard_of(&names[*i]).unwrap_or(0))
-                    .field("stage", "constrained")
-                    .field("grant", *grant);
                 let mut constrained = request.clone();
                 constrained.planner.limits.max_containers = *grant;
-                self.plan_topology(&names[*i], &constrained)
+                shard_plan(*i, &constrained, Some(*grant))
             },
         )));
 

@@ -7,16 +7,21 @@
 //!
 //! Three layers stack on the single-tenant service:
 //!
-//! * **Sharding** ([`fleet`], [`hash`], [`provider`]) — topologies are
-//!   pinned to one of N shards by rendezvous hashing on the topology
-//!   id; each shard is a full [`caladrius_core::Caladrius`] with its
-//!   own per-topology tsdb stores and a `shard="<i>"` label on its obs
-//!   series. Growing the fleet only migrates topologies to the new
-//!   shard, keeping surviving shards' model caches warm.
-//! * **Admission control** (reused from [`caladrius_api::admission`])
-//!   — the fleet front door sheds low-priority plan requests with
-//!   `429` + `Retry-After` when the route's p99 breaches its SLO, the
-//!   job queue crosses its watermark, or the token bucket empties.
+//! * **Sharding** ([`fleet`], [`hash`]) — topologies are pinned to one
+//!   of N shards by rendezvous hashing on the topology id; each shard is
+//!   a full [`caladrius_core::Caladrius`] over the core provider seams
+//!   (a [`caladrius_core::providers::SimMetricsProvider`] holding one
+//!   tsdb store per hosted topology, a
+//!   [`caladrius_core::providers::StaticTracker`] registering them
+//!   online) with a `shard="<i>"` label on its obs series. Growing the
+//!   fleet only migrates topologies to the new shard, keeping surviving
+//!   shards' model caches warm.
+//! * **Front door** ([`service`]) — the fleet's route table over the
+//!   API tier's shared [`caladrius_api::Edge`]: the same request
+//!   telemetry, job store, job-status shape and admission control as
+//!   the single-topology service. It sheds low-priority plan requests
+//!   with `429` + `Retry-After` when the route's p99 breaches its SLO,
+//!   the job queue crosses its watermark, or the token bucket empties.
 //! * **Cluster planning** ([`allocator`], [`Fleet::plan_fleet`]) — a
 //!   knapsack-style split of a cluster-wide container budget across
 //!   topologies by marginal backpressure-risk reduction (greedy, exact
@@ -33,12 +38,10 @@ pub mod allocator;
 pub mod feed;
 pub mod fleet;
 pub mod hash;
-pub mod provider;
 pub mod service;
 
 pub use allocator::{allocate_exact_dp, allocate_greedy, Allocation, BudgetGrant, TopologyDemand};
 pub use feed::{BoundWorkload, StagedWorkload};
 pub use fleet::{Fleet, FleetConfig, FleetHealth, FleetPlan, ShardHealth, TopologyPlanOutcome};
 pub use hash::assign_shard;
-pub use provider::{FleetTracker, ShardMetricsProvider};
 pub use service::FleetService;

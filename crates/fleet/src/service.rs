@@ -1,8 +1,9 @@
-//! Fleet HTTP front door.
-//!
-//! Reuses the API tier's building blocks — HTTP server, JSON model,
-//! async job store, and admission controller — and adds the
-//! fleet-level endpoints:
+//! Fleet HTTP front door: the fleet's route table over the API tier's
+//! shared [`caladrius_api::Edge`]. The edge supplies the request
+//! telemetry, the job store (same poll shape, timing included),
+//! admission control and the observability endpoints; the fleet's
+//! `/metrics/service` scrape holds every shard's `shard="<i>"` service
+//! and store series plus the fleet shed/ingest counters. Its own routes:
 //!
 //! * `POST /fleet/plan` — cluster planning as an async job (`202` +
 //!   poll URL). The body may set `"budget"` (containers) to override
@@ -12,31 +13,21 @@
 //! * `GET /fleet/jobs/{id}` — poll a fleet plan job.
 //! * `GET /fleet/health` — per-shard topology counts, model-cache
 //!   counters and ingest totals.
-//! * `GET /metrics/service` — Prometheus exposition (includes the
-//!   per-shard `shard="<i>"` series and the fleet shed/ingest
-//!   counters).
-//! * `GET /trace/recent`, `GET /slo/status`, `GET /debug/flight` —
-//!   the shared observability endpoints (same handlers as the API
-//!   tier), so a fleet front door exposes the cross-shard span trees,
-//!   burn-rate verdicts and flight-recorder dumps directly.
 
 use crate::fleet::{Fleet, FleetPlan, TopologyPlanOutcome};
-use caladrius_api::admission::PRIORITY_HEADER;
+use caladrius_api::edge::{self, Edge, FrontDoor};
 use caladrius_api::http::{Handler, Request, Response};
-use caladrius_api::jobs::JobState;
 use caladrius_api::json::Value;
-use caladrius_api::{AdmissionConfig, AdmissionController, AdmissionDecision, JobRunner, Priority};
+use caladrius_api::routes::body_json;
+use caladrius_api::{AdmissionConfig, JobRunner};
 use caladrius_core::capacity::CapacityPlanRequest;
-use caladrius_obs::{ParentSpanScope, RequestScope};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The fleet tier's HTTP service: routes fleet requests to a shared
-/// [`Fleet`] behind admission control and the async job store.
+/// [`Fleet`] through the shared [`Edge`].
 pub struct FleetService {
     fleet: Arc<Fleet>,
-    jobs: JobRunner,
-    admission: AdmissionController,
+    edge: Edge,
 }
 
 /// Route label of the fleet plan endpoint (admission + metrics key).
@@ -58,155 +49,32 @@ impl FleetService {
     ) -> Arc<Self> {
         Arc::new(FleetService {
             fleet,
-            jobs: JobRunner::new(job_workers),
-            admission: AdmissionController::new(admission),
+            edge: Edge::new(JobRunner::new(job_workers), admission),
         })
-    }
-
-    /// The wrapped fleet.
-    pub fn fleet(&self) -> &Arc<Fleet> {
-        &self.fleet
     }
 
     /// The job runner (tests gate its workers to force queueing).
     pub fn jobs(&self) -> &JobRunner {
-        &self.jobs
+        self.edge.jobs()
     }
 
     /// A connection handler for [`caladrius_api::HttpServer::serve`].
     pub fn handler(self: &Arc<Self>) -> Handler {
-        let service = Arc::clone(self);
-        Arc::new(move |request| service.handle(request))
-    }
-
-    /// Routes one request, recording the same per-route counters and
-    /// latency histograms as the API tier (so admission's p99 signal
-    /// works unchanged for fleet routes).
-    pub fn handle(&self, request: Request) -> Response {
-        let request_id = request
-            .request_id()
-            .unwrap_or_else(caladrius_obs::next_request_id);
-        let _request_scope = RequestScope::enter(request_id);
-        let started = Instant::now();
-        let mut span = caladrius_obs::global_span("http.request");
-        let (route, response) = self.route(&request);
-        span.field("route", route)
-            .field("method", &request.method)
-            .field("status", response.status);
-        let registry = caladrius_obs::global_registry();
-        let status = response.status.to_string();
-        registry
-            .counter(
-                "caladrius_http_requests_total",
-                &[
-                    ("route", route),
-                    ("method", &request.method),
-                    ("status", &status),
-                ],
-            )
-            .inc();
-        registry
-            .windowed_histogram(
-                "caladrius_http_request_duration_seconds",
-                &[("route", route)],
-            )
-            .record_duration(started.elapsed());
-        caladrius_api::record_route_slo(
-            route,
-            response.status,
-            started.elapsed().as_secs_f64(),
-            self.admission.config().slo_p99_seconds,
-        );
-        caladrius_obs::global_flight().maybe_snapshot(registry);
-        response
-    }
-
-    fn route(&self, request: &Request) -> (&'static str, Response) {
-        let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-        match (request.method.as_str(), segments.as_slice()) {
-            ("POST", ["fleet", "plan"]) => (PLAN_ROUTE, self.plan(request)),
-            ("GET", ["fleet", "jobs", id]) => ("/fleet/jobs/{id}", self.job_status(id)),
-            ("GET", ["fleet", "health"]) => ("/fleet/health", self.health()),
-            ("GET", ["metrics", "service"]) => ("/metrics/service", self.service_metrics()),
-            ("GET", ["trace", "recent"]) => (
-                "/trace/recent",
-                caladrius_api::trace_recent_response(request),
-            ),
-            ("GET", ["slo", "status"]) => ("/slo/status", caladrius_api::slo_status_response()),
-            ("GET", ["debug", "flight"]) => ("/debug/flight", caladrius_api::flight_response()),
-            (_, ["fleet", ..])
-            | (_, ["metrics", "service"])
-            | (_, ["trace", ..])
-            | (_, ["slo", ..])
-            | (_, ["debug", "flight"]) => (
-                "method_not_allowed",
-                Response::json_status(405, "{\"error\":\"method not allowed\"}"),
-            ),
-            _ => (
-                "unmatched",
-                Response::json_status(404, "{\"error\":\"no such endpoint\"}"),
-            ),
-        }
-    }
-
-    /// The observed **recent** p99 of a route, from the same windowed
-    /// histogram [`FleetService::handle`] records into — shedding reacts
-    /// to the sliding window, not lifetime history.
-    fn route_p99(route: &str) -> Option<f64> {
-        let histogram = caladrius_obs::global_registry().windowed_histogram(
-            "caladrius_http_request_duration_seconds",
-            &[("route", route)],
-        );
-        let snapshot = histogram.windowed_snapshot();
-        (snapshot.count > 0).then(|| snapshot.quantile(0.99))
-    }
-
-    fn too_many_requests(error: &str, retry_after_seconds: u32) -> Response {
-        Response::json_status(
-            429,
-            Value::object([("error", Value::from(error))]).to_json(),
-        )
-        .with_header("Retry-After", retry_after_seconds.to_string())
+        edge::handler(self)
     }
 
     /// `POST /fleet/plan` — cluster planning across every registered
     /// topology, async through the job store.
     fn plan(&self, request: &Request) -> Response {
-        let priority =
-            Priority::from_header(request.headers.get(PRIORITY_HEADER).map(String::as_str));
-        if let AdmissionDecision::Shed {
-            retry_after_seconds,
-        } = self.admission.decide(
-            PLAN_ROUTE,
-            priority,
-            Self::route_p99(PLAN_ROUTE),
-            self.jobs.queue_depth(),
-        ) {
-            return Self::too_many_requests("shed by admission control", retry_after_seconds);
+        if let Err(shed) = self.edge.admit(PLAN_ROUTE, request) {
+            return shed;
         }
-        let body = match request.body_str() {
-            Some(b) => b,
-            None => return Response::json_status(400, "{\"error\":\"body is not UTF-8\"}"),
-        };
-        let (plan_request, budget) = match parse_fleet_plan_body(body) {
+        let (plan_request, budget) = match edge::parse_body(request, parse_fleet_plan_body) {
             Ok(parsed) => parsed,
-            Err(msg) => {
-                return Response::json_status(
-                    400,
-                    Value::object([("error", Value::from(msg))]).to_json(),
-                )
-            }
+            Err(bad) => return bad,
         };
         let fleet = Arc::clone(&self.fleet);
-        // The plan runs on a job worker thread: carry the request id and
-        // the `http.request` span id over so the whole cross-shard fan-out
-        // (`fleet.plan` → `fleet.shard.plan` → `core.plan`) reconstructs
-        // under one request id in `/trace/recent`.
-        let request_id = caladrius_obs::current_request_id();
-        let parent_span = caladrius_obs::current_span_id();
-        let id = self.jobs.submit(move || {
-            let _request = request_id.map(RequestScope::enter);
-            let _parent = parent_span.map(ParentSpanScope::enter);
+        let id = self.jobs().submit(move || {
             let plan = fleet.plan_fleet(&plan_request, budget);
             // Fleet plan jobs burn their own error budget: any topology
             // failing to plan counts as a bad event.
@@ -215,42 +83,13 @@ impl FleetService {
                 .record(plan.errors() == 0);
             Ok(fleet_plan_to_json(&plan))
         });
-        Response::json_status(
-            202,
-            Value::object([
-                ("job_id", Value::from(id as f64)),
-                ("poll", Value::from(format!("/fleet/jobs/{id}"))),
-            ])
-            .to_json(),
-        )
-    }
-
-    fn job_status(&self, id: &str) -> Response {
-        let Ok(id) = id.parse::<u64>() else {
-            return Response::json_status(400, "{\"error\":\"job id must be an integer\"}");
-        };
-        match self.jobs.state(id) {
-            None => Response::json_status(404, "{\"error\":\"no such job\"}"),
-            Some(JobState::Pending) => Response::json_status(
-                202,
-                Value::object([("state", Value::from("pending"))]).to_json(),
-            ),
-            Some(JobState::Done(result)) => Response::json(
-                Value::object([("state", Value::from("done")), ("result", result)]).to_json(),
-            ),
-            Some(JobState::Failed(message)) => Response::json(
-                Value::object([
-                    ("state", Value::from("failed")),
-                    ("error", Value::from(message)),
-                ])
-                .to_json(),
-            ),
-        }
+        self.edge.accepted(Ok(id), "/fleet/jobs")
     }
 
     /// `GET /fleet/health` — per-shard snapshot.
     fn health(&self) -> Response {
         let health = self.fleet.health();
+        let n = |count: u64| Value::from(count as f64);
         let shards = health
             .shards
             .iter()
@@ -258,33 +97,21 @@ impl FleetService {
                 Value::object([
                     ("shard", Value::from(s.shard as f64)),
                     ("topologies", Value::from(s.topologies as f64)),
-                    ("cache_hits", Value::from(s.model_cache.hits as f64)),
-                    ("cache_misses", Value::from(s.model_cache.misses as f64)),
-                    ("model_fits", Value::from(s.model_cache.fits as f64)),
-                    (
-                        "model_fits_incremental",
-                        Value::from(s.model_cache.incremental_fits as f64),
-                    ),
-                    (
-                        "model_fits_full",
-                        Value::from(s.model_cache.full_fits as f64),
-                    ),
-                    ("plans", Value::from(s.model_cache.plans as f64)),
-                    ("plan_cache_hits", Value::from(s.plan_cache.hits as f64)),
-                    ("plan_cache_misses", Value::from(s.plan_cache.misses as f64)),
-                    (
-                        "plan_warm_starts",
-                        Value::from(s.plan_cache.warm_starts as f64),
-                    ),
-                    (
-                        "plan_cache_evictions",
-                        Value::from(s.plan_cache.evictions as f64),
-                    ),
-                    ("ingest_batches", Value::from(s.ingest.batches as f64)),
-                    ("ingest_samples", Value::from(s.ingest.samples as f64)),
-                    ("tail_cache_hits", Value::from(s.tail_cache.hits as f64)),
-                    ("tail_cache_misses", Value::from(s.tail_cache.misses as f64)),
-                    ("routed_batches", Value::from(s.routed_batches as f64)),
+                    ("cache_hits", n(s.model_cache.hits)),
+                    ("cache_misses", n(s.model_cache.misses)),
+                    ("model_fits", n(s.model_cache.fits)),
+                    ("model_fits_incremental", n(s.model_cache.incremental_fits)),
+                    ("model_fits_full", n(s.model_cache.full_fits)),
+                    ("plans", n(s.model_cache.plans)),
+                    ("plan_cache_hits", n(s.plan_cache.hits)),
+                    ("plan_cache_misses", n(s.plan_cache.misses)),
+                    ("plan_warm_starts", n(s.plan_cache.warm_starts)),
+                    ("plan_cache_evictions", n(s.plan_cache.evictions)),
+                    ("ingest_batches", n(s.ingest.batches)),
+                    ("ingest_samples", n(s.ingest.samples)),
+                    ("tail_cache_hits", n(s.tail_cache.hits)),
+                    ("tail_cache_misses", n(s.tail_cache.misses)),
+                    ("routed_batches", n(s.routed_batches)),
                 ])
             })
             .collect();
@@ -297,13 +124,26 @@ impl FleetService {
             .to_json(),
         )
     }
+}
 
-    /// `GET /metrics/service` — unscoped series plus this front door's
-    /// own: its fleet, every shard's service and stores, its job runner.
-    fn service_metrics(&self) -> Response {
-        let mut owned = self.fleet.obs_scopes();
-        owned.push(("runner", self.jobs.scope_id().to_string()));
-        caladrius_api::routes::prometheus_response(&owned)
+impl FrontDoor for FleetService {
+    fn edge(&self) -> &Edge {
+        &self.edge
+    }
+
+    /// The fleet's own `fleet` id plus every shard service's scopes.
+    fn obs_scopes(&self) -> Vec<(&'static str, String)> {
+        self.fleet.obs_scopes()
+    }
+
+    fn route(&self, request: &Request, segments: &[&str]) -> Option<(&'static str, Response)> {
+        Some(match (request.method.as_str(), segments) {
+            ("POST", ["fleet", "plan"]) => (PLAN_ROUTE, self.plan(request)),
+            ("GET", ["fleet", "jobs", id]) => ("/fleet/jobs/{id}", self.edge.job_status(id)),
+            ("GET", ["fleet", "health"]) => ("/fleet/health", self.health()),
+            (_, ["fleet", ..]) => edge::method_not_allowed(),
+            _ => return None,
+        })
     }
 }
 
@@ -312,18 +152,16 @@ impl FleetService {
 /// API tier's parser, plus the fleet-only `"budget"` (containers,
 /// overriding the configured cluster budget).
 fn parse_fleet_plan_body(body: &str) -> Result<(CapacityPlanRequest, Option<u32>), String> {
-    let request = caladrius_api::routes::parse_plan_body(body)?;
-    let mut budget = None;
-    if !body.trim().is_empty() {
-        let value = caladrius_api::json::parse(body).map_err(|e| e.to_string())?;
-        if let Some(raw) = value.get("budget") {
-            let b = raw
-                .as_f64()
+    let request = caladrius_api::parse_plan_body(body)?;
+    let budget = body_json(body)?
+        .get("budget")
+        .map(|raw| {
+            raw.as_f64()
                 .filter(|b| b.fract() == 0.0 && *b >= 1.0)
-                .ok_or_else(|| "budget must be a positive integer".to_string())?;
-            budget = Some(b.min(f64::from(u32::MAX)) as u32);
-        }
-    }
+                .map(|b| b.min(f64::from(u32::MAX)) as u32)
+                .ok_or_else(|| "budget must be a positive integer".to_string())
+        })
+        .transpose()?;
     Ok((request, budget))
 }
 
@@ -388,6 +226,8 @@ pub fn fleet_plan_to_json(plan: &FleetPlan) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caladrius_api::admission::PRIORITY_HEADER;
+    use caladrius_api::jobs::JobState;
     use std::collections::BTreeMap;
 
     fn request(method: &str, path: &str, body: &str, headers: &[(&str, &str)]) -> Request {
@@ -476,6 +316,59 @@ mod tests {
                 .and_then(Value::as_array)
                 .map(<[Value]>::len),
             Some(0)
+        );
+    }
+
+    /// Submits a fleet plan over the route table, waits for the job and
+    /// returns its poll body.
+    fn finished_plan_poll(service: &FleetService) -> Value {
+        let accepted = service.handle(request("POST", "/fleet/plan", "{}", &[]));
+        assert_eq!(accepted.status, 202, "{:?}", accepted.body);
+        let envelope = caladrius_api::json::parse(std::str::from_utf8(&accepted.body).unwrap())
+            .expect("job envelope");
+        let id = envelope
+            .get("job_id")
+            .and_then(Value::as_f64)
+            .expect("job id") as u64;
+        service.jobs().wait(id).expect("job exists");
+        let poll = envelope.get("poll").and_then(Value::as_str).expect("poll");
+        let polled = service.handle(request("GET", poll, "", &[]));
+        assert_eq!(polled.status, 200);
+        caladrius_api::json::parse(std::str::from_utf8(&polled.body).unwrap()).expect("poll body")
+    }
+
+    #[test]
+    fn finished_fleet_job_poll_carries_timing() {
+        let v = finished_plan_poll(&empty_service());
+        assert_eq!(v.get("state").and_then(Value::as_str), Some("done"));
+        for field in ["queued_ms", "started_ms", "finished_ms"] {
+            assert!(
+                v.get(field).and_then(Value::as_f64).is_some(),
+                "{field}: {v:?}"
+            );
+        }
+        assert!(v.get("queue_wait_ms").and_then(Value::as_f64).unwrap() >= 0.0);
+        assert!(v.get("duration_ms").and_then(Value::as_f64).unwrap() >= 0.0);
+    }
+
+    #[test]
+    fn fleet_scrape_reevaluates_slo_burn_rates() {
+        let service = empty_service();
+        finished_plan_poll(&service);
+        let scrape = service.handle(request("GET", "/metrics/service", "", &[]));
+        assert_eq!(scrape.status, 200);
+        let text = String::from_utf8(scrape.body).unwrap();
+        assert!(
+            text.lines()
+                .any(|l| l.starts_with("caladrius_slo_burn_rate{")
+                    && l.contains("objective=\"fleet-plan-jobs\"")),
+            "no fleet-plan-jobs burn rate in:\n{text}"
+        );
+        // The edge describes the http series, so a fleet-only process
+        // renders their help text too.
+        assert!(
+            text.contains("# HELP caladrius_http_requests_total "),
+            "{text}"
         );
     }
 

@@ -2,7 +2,7 @@
 //! the Levinson-Durbin recursion — one of the classical network-traffic
 //! predictors the paper's related-work section cites (ARIMA family).
 //!
-//! Fitting routes through [`ArStats`], a streaming sufficient-statistics
+//! Fitting routes through `ArStats`, a streaming sufficient-statistics
 //! accumulator over *raw* (not demeaned) lagged product sums. Batch `fit`
 //! pushes the history point by point into a fresh accumulator and
 //! [`Forecaster::update`] pushes only the appended points into the

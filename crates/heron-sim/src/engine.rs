@@ -18,9 +18,9 @@
 //! The hot loop is a struct-of-arrays kernel: every per-instance constant
 //! (capacity, selectivity, fail rate, gateway overhead, container, CPU
 //! cores) lives in a parallel `Vec` built once in [`Simulation::new`]
-//! ([`InstanceTable`]), routing fan-out is a flat CSR edge table
-//! ([`EdgeTable`]), and mutable queue state is split from the per-minute
-//! accumulators ([`LiveState`] vs [`MinuteAccum`]) so a tick touches only
+//! (`InstanceTable`), routing fan-out is a flat CSR edge table
+//! (`EdgeTable`), and mutable queue state is split from the per-minute
+//! accumulators (`LiveState` vs `MinuteAccum`) so a tick touches only
 //! contiguous arrays and a minute flush reads the accumulators in place.
 //! `tick()` performs **zero heap allocations**: backpressure attribution
 //! reuses a scratch buffer, and the per-component spout offer is staged in
@@ -33,11 +33,11 @@
 //! [`SimConfig::event_mode`] lets the engine advance whole inter-event
 //! spans in closed form for any **piecewise-linear** spout rate profile.
 //! Each minute runs on a binary-heap event scheduler
-//! ([`crate::scheduler`]): the agenda holds the minute boundary, every
+//! (`crate::scheduler`): the agenda holds the minute boundary, every
 //! rate-profile breakpoint (shifted by each pipeline delay so
 //! per-instance flows stay linear between events), and analytically
 //! computed saturation-onset / watermark-crossing ticks. Between
-//! consecutive events the fluid model ([`crate::fluid`]) advances queue
+//! consecutive events the fluid model (`crate::fluid`) advances queue
 //! depths, throughput accumulators and clamped CPU in closed form —
 //! arithmetic series over the profile segments, the exact sums the tick
 //! loop would accumulate. Spans are guarded twice: an entry probe
@@ -182,10 +182,10 @@ pub struct SimConfig {
     /// assumption breaks (the `stmgr_ablation` bench).
     pub stmgr_capacity: Option<f64>,
     /// Opt-in event-driven advancement (default `false`). Minutes run on
-    /// a binary-heap event scheduler ([`crate::scheduler`]): rate-profile
+    /// a binary-heap event scheduler (`crate::scheduler`): rate-profile
     /// breakpoints, analytically computed saturation onsets and watermark
     /// crossings, and the minute boundary are events, and between events
-    /// the fluid state advances in closed form ([`crate::fluid`]) for any
+    /// the fluid state advances in closed form (`crate::fluid`) for any
     /// piecewise-linear spout profile: constant, ramping or diurnal.
     /// Falls back to exact ticking (per tick) whenever closed form is
     /// not provably valid, so backpressure verdicts match exact runs;
@@ -239,7 +239,7 @@ struct InstanceTable {
     fail_rate: Vec<f64>,
 }
 
-/// Per-component constants plus the CSR index into [`EdgeTable`].
+/// Per-component constants plus the CSR index into `EdgeTable`.
 #[derive(Debug)]
 struct ComponentTable {
     /// Spout/bolt tag, flattened out of the `ComponentKind` enum.
@@ -278,7 +278,7 @@ struct EdgeTable {
     route_dst_container: Vec<u32>,
 }
 
-/// Mutable queue state, struct-of-arrays. Split from [`MinuteAccum`] so
+/// Mutable queue state, struct-of-arrays. Split from `MinuteAccum` so
 /// the minute flush reads accumulators in place (no per-instance clone)
 /// and the event-mode entry probe reads only the queue state.
 #[derive(Debug, Clone)]

@@ -11,6 +11,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
+# Doc links must resolve to public items: a link left pointing at a
+# deleted or private item fails here instead of rotting silently.
+echo "==> cargo doc --workspace --no-deps (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --release (tier-1)"
 cargo build --release
 

@@ -346,7 +346,7 @@ fn wait_for_job(client: &HttpClient, accepted_body: &str) {
 }
 
 /// A cluster plan over real HTTP leaves one *connected* span tree in
-/// the trace ring: `http.request` → `fleet.plan` → one
+/// the trace ring: `http.request` → `api.job` → `fleet.plan` → one
 /// `fleet.shard.plan` per topology → `core.plan`, all attributed to
 /// the caller-supplied request id even though the work hopped from the
 /// HTTP worker to the job worker to the shared planning pool.
@@ -392,7 +392,8 @@ fn fleet_plan_fans_out_one_connected_span_tree() {
             .map(|p| p as u64)
     };
 
-    // Exactly one HTTP edge span and one cluster-plan span, linked.
+    // Exactly one HTTP edge span, one job span and one cluster-plan
+    // span, linked in that order.
     let http = spans_named("http.request");
     let accepted: Vec<&&Value> = http
         .iter()
@@ -404,12 +405,19 @@ fn fleet_plan_fans_out_one_connected_span_tree() {
         })
         .collect();
     assert_eq!(accepted.len(), 1, "{body}");
+    let jobs = spans_named("api.job");
+    assert_eq!(jobs.len(), 1, "{body}");
+    assert_eq!(
+        parent_id(jobs[0]),
+        Some(span_id(accepted[0])),
+        "api.job not parented to the accepting http.request"
+    );
     let plans = spans_named("fleet.plan");
     assert_eq!(plans.len(), 1, "{body}");
     assert_eq!(
         parent_id(plans[0]),
-        Some(span_id(accepted[0])),
-        "fleet.plan not parented to the accepting http.request"
+        Some(span_id(jobs[0])),
+        "fleet.plan not parented to its api.job"
     );
 
     // One shard-plan span per topology, each parented to the cluster
@@ -433,6 +441,62 @@ fn fleet_plan_fans_out_one_connected_span_tree() {
             "core.plan parent {parent} not a fleet.shard.plan: {body}"
         );
     }
+}
+
+/// A single-topology plan connects the same way through the job
+/// runner: `http.request` → `api.job` → `core.plan`, all under the
+/// caller-supplied request id.
+#[test]
+fn topology_plan_spans_connect_through_the_job() {
+    let (_server, client) = start_service();
+    let supplied = "feedface";
+    let (status, _, body) = client
+        .post_full(
+            "/topology/wordcount/plan",
+            "{}",
+            &[("x-request-id", supplied)],
+        )
+        .unwrap();
+    assert_eq!(status, 202, "{body}");
+    wait_for_job(&client, &body);
+
+    let (status, body) = client
+        .get(&format!("/trace/recent?request_id={supplied}&limit=2048"))
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    let v = json::parse(&body).unwrap();
+    let events = v.get("events").unwrap().as_array().unwrap();
+    let only = |name: &str, route: Option<&str>| -> &Value {
+        let matching: Vec<&Value> = events
+            .iter()
+            .filter(|e| e.get("name").and_then(Value::as_str) == Some(name))
+            .filter(|e| {
+                route.is_none()
+                    || e.get("fields")
+                        .and_then(|f| f.get("route"))
+                        .and_then(Value::as_str)
+                        == route
+            })
+            .collect();
+        assert_eq!(matching.len(), 1, "one {name} span expected: {body}");
+        matching[0]
+    };
+    let span_id = |e: &Value| e.get("span_id").and_then(Value::as_f64);
+    let parent_id = |e: &Value| e.get("parent_span_id").and_then(Value::as_f64);
+
+    let accepted = only("http.request", Some("/topology/{topology}/plan"));
+    let job = only("api.job", None);
+    let plan = only("core.plan", None);
+    assert_eq!(
+        parent_id(job),
+        span_id(accepted),
+        "api.job not parented to the accepting http.request"
+    );
+    assert_eq!(
+        parent_id(plan),
+        span_id(job),
+        "core.plan not parented to its api.job"
+    );
 }
 
 /// `/slo/status` and `/debug/flight` round-trip as JSON over the fleet
